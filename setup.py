@@ -1,7 +1,8 @@
 """Build script: compiles the Cython kernel core.
 
 The package works without the extension (a pure-Python twin of the kernels
-is selected at import time), so a failed compile is tolerated.
+is selected at import time), so a missing Cython is tolerated: the extension
+is then not built. A failed compile with Cython present is not tolerated.
 """
 
 from setuptools import setup

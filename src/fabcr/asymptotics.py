@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from fabcr import _core
 from fabcr.errors import DomainError, UnsupportedModelError
+from fabcr.gaussian import _bisect
 from fabcr.priors import PriorModel
 
 
@@ -59,15 +60,7 @@ def g_alpha_inv(alpha, t):
         return wa
     if g_alpha(alpha, wb) <= t:
         return wb
-    for _ in range(200):
-        mid = 0.5 * (wa + wb)
-        if g_alpha(alpha, mid) < t:
-            wa = mid
-        else:
-            wb = mid
-        if wb - wa < 1e-16 * max(1.0, wa):
-            break
-    return 0.5 * (wa + wb)
+    return _bisect(lambda w: g_alpha(alpha, w) < t, wa, wb, 1e-16)
 
 
 def c_alpha(alpha, kappa):

@@ -120,16 +120,7 @@ def nef_cmd(family_spec, y, alpha, grid, fmt):
     out = click.get_text_stream("stdout")
     if reg.intervals is not None:
         out.write("theta,member\n")
-        if model.family == "binom":
-            step = reg.grid
-            m = int(round(1.0 / step))
-            thetas = [i * step for i in range(1, m)]
-        else:
-            step = reg.grid
-            lo = math.log(max(1e-8, (yval + 1.0) / 60.0))
-            hi = math.log(60.0 * (yval + 1.0))
-            npts = int(math.ceil((hi - lo) / step)) + 1
-            thetas = [math.exp(lo + i * step) for i in range(npts)]
+        _, thetas = nef.theta_grid(model, reg.y, reg.grid)
         for t in thetas:
             out.write("%s,%d\n" % (_fmt(t), 1 if reg.contains(t) else 0))
     else:

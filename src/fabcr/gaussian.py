@@ -13,14 +13,15 @@ smallest member across all levels is the posterior mean (the focal point).
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from fabcr import _core
 from fabcr.errors import DomainError, NumericalError, RegionBoundError
 from fabcr.priors import PriorModel
 
 _ENDPOINT_TOL = 1e-8
+_MARCH_STEPS = 200
 
 
 def _check_alpha(alpha):
@@ -98,6 +99,44 @@ class PValueCurve:
             stream.write("%.17g,%.17g\n" % (t, p))
 
 
+# -- bracket search shared by every inversion -------------------------------
+
+
+def _march(inside_at, start, direction, step, limit=None, **context):
+    """Step from `start`, where `inside_at` holds, in `direction` (+-1) to
+    start + step, start + 3 step, start + 7 step, ..., clipped at `limit`,
+    until `inside_at` fails. Returns the last (inside, outside) pair, or None
+    if `inside_at` still holds at `limit`."""
+    inside = start
+    for _ in range(_MARCH_STEPS):
+        t = inside + direction * step
+        if limit is not None and direction * (t - limit) > 0.0:
+            t = limit
+        if not inside_at(t):
+            return inside, t
+        if t == limit:
+            return None
+        inside = t
+        step *= 2.0
+    raise NumericalError("bracket search exhausted its step budget",
+                         start=start, direction=direction, last=inside,
+                         steps=_MARCH_STEPS, **context)
+
+
+def _bisect(inside_at, inside, outside, tol):
+    """Halve the bracket until it is at most `tol` wide or no float lies
+    between its ends; returns the midpoint."""
+    while abs(outside - inside) > tol:
+        mid = 0.5 * (inside + outside)
+        if mid == inside or mid == outside:
+            break
+        if inside_at(mid):
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
+
+
 class _DegenerateWeight(Exception):
     """The spending weight is closer to 0/1 than double precision resolves
     (Gaussian prior far from its location); use the cutoff formulation."""
@@ -136,28 +175,15 @@ def _lam_minimizer(model, theta0):
         tau = model.sigma if model.tau is None else model.tau
         return model.loc + (theta0 - model.loc) * \
             (model.sigma ** 2 + tau ** 2) / tau ** 2
-    lo = hi = theta0
-    step = model.sigma
-    for _ in range(200):
-        if model.posterior_mean(lo) <= theta0:
-            break
-        lo -= step
-        step *= 2.0
-    step = model.sigma
-    for _ in range(200):
-        if model.posterior_mean(hi) >= theta0:
-            break
-        hi += step
-        step *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model.posterior_mean(mid) < theta0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * model.sigma:
-            break
-    return 0.5 * (lo + hi)
+    # the posterior mean increases in t: march toward theta0's side of it
+    direction = -1.0 if model.posterior_mean(theta0) > theta0 else 1.0
+
+    def short(t):
+        return direction * (model.posterior_mean(t) - theta0) < 0.0
+
+    inside, outside = _march(short, theta0, direction, model.sigma,
+                             theta0=theta0, prior=model.spec_string())
+    return _bisect(short, inside, outside, 1e-12 * model.sigma)
 
 
 def _lam_root(model, theta0, level, start, direction):
@@ -177,28 +203,14 @@ def _lam_root(model, theta0, level, start, direction):
                                  level=level, prior=model.spec_string())
         root = (-b + direction * math.sqrt(disc)) / (2.0 * a)
         return mu + root
-    step = model.sigma
-    inner = start
-    outer = start + direction * step
-    for _ in range(300):
-        if _lam(model, theta0, outer) >= level:
-            break
-        inner = outer
-        step *= 2.0
-        outer = start + direction * step
-    else:
-        raise NumericalError("lam level-set root not bracketed",
-                             theta0=theta0, level=level,
-                             prior=model.spec_string())
-    for _ in range(200):
-        mid = 0.5 * (inner + outer)
-        if _lam(model, theta0, mid) < level:
-            inner = mid
-        else:
-            outer = mid
-        if abs(outer - inner) < 1e-11 * model.sigma:
-            break
-    return 0.5 * (inner + outer)
+
+    def below(t):
+        return _lam(model, theta0, t) < level
+
+    inner, outer = _march(below, start, direction, model.sigma,
+                          theta0=theta0, level=level,
+                          prior=model.spec_string())
+    return _bisect(below, inner, outer, 1e-11 * model.sigma)
 
 
 def _sublevel_mass(model, theta0, level, ystar):
@@ -221,24 +233,15 @@ def _np_member(model, theta0, alpha, y):
 def _np_interval(model, theta0, alpha):
     """Acceptance bounds via bisection on the cutoff level."""
     ystar = _lam_minimizer(model, theta0)
-    base = _lam(model, theta0, ystar)
-    lo_k, hi_k = base, base + 1.0
-    for _ in range(200):
-        mass, a, b = _sublevel_mass(model, theta0, hi_k, ystar)
-        if mass >= 1.0 - alpha:
-            break
-        lo_k = hi_k
-        hi_k = base + 2.0 * (hi_k - base)
-    for _ in range(200):
-        mid = 0.5 * (lo_k + hi_k)
-        mass, a, b = _sublevel_mass(model, theta0, mid, ystar)
-        if mass < 1.0 - alpha:
-            lo_k = mid
-        else:
-            hi_k = mid
-        if hi_k - lo_k < 1e-13 * max(1.0, abs(hi_k)):
-            break
-    mass, a, b = _sublevel_mass(model, theta0, hi_k, ystar)
+
+    def short(k):
+        return _sublevel_mass(model, theta0, k, ystar)[0] < 1.0 - alpha
+
+    lo_k, hi_k = _march(short, _lam(model, theta0, ystar), 1.0, 1.0,
+                        theta0=theta0, alpha=alpha, prior=model.spec_string())
+    # relative tolerance on the level, taken at the bracket end nearer zero
+    k = _bisect(short, lo_k, hi_k, 1e-13 * max(1.0, min(abs(lo_k), abs(hi_k))))
+    _, a, b = _sublevel_mass(model, theta0, k, ystar)
     w = _core.norm_cdf((a - theta0) / model.sigma) / alpha
     return w, a, b
 
@@ -281,38 +284,26 @@ def _membership(model, theta0, alpha, y):
 def _search_cap(model, y):
     prof = model.tail_profile()
     kappa = prof.kappa if prof is not None else 0.0
-    return abs(y) + 50.0 * model.sigma * max(1.0, kappa)
+    # the search range is centred on the prior location and must hold the
+    # focal point, which lies between the location and y
+    return abs(y - model.loc) + 50.0 * model.sigma * max(1.0, kappa)
 
 
 def _bracket_endpoint(model, y, alpha, start, direction, cap):
     """March from an interior point `start` in +-1 direction until membership
     is lost, then bisect the boundary to absolute tolerance 1e-8."""
-    sigma = model.sigma
-    step = sigma
-    inside = start
-    while True:
-        cand = inside + direction * step
-        if abs(cand - model.loc) > cap:
-            cand = model.loc + direction * cap
-        member, _, _ = _membership(model, cand, alpha, y)
-        if not member:
-            outside = cand
-            break
-        inside = cand
-        if abs(cand - model.loc) >= cap:
-            raise RegionBoundError(
-                "region endpoint search exhausted its range: region may be "
-                "open-ended", y=y, alpha=alpha, direction=direction, cap=cap,
-                prior=model.spec_string())
-        step *= 2.0
-    while abs(outside - inside) > _ENDPOINT_TOL:
-        mid = 0.5 * (inside + outside)
-        member, _, _ = _membership(model, mid, alpha, y)
-        if member:
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
+    def member(t):
+        return _membership(model, t, alpha, y)[0]
+
+    bracket = _march(member, start, direction, model.sigma,
+                     limit=model.loc + direction * cap, y=y, alpha=alpha,
+                     prior=model.spec_string())
+    if bracket is None:
+        raise RegionBoundError(
+            "region endpoint search exhausted its range: region may be "
+            "open-ended", y=y, alpha=alpha, direction=direction, cap=cap,
+            prior=model.spec_string())
+    return _bisect(member, *bracket, _ENDPOINT_TOL)
 
 
 def confidence_region(model: PriorModel, y, alpha, scan_step=None):
@@ -350,11 +341,11 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
 def _scan_region(model, y, alpha, focal, cap, step):
     lo_grid = model.loc - cap
     n = max(2, int(math.ceil(2.0 * cap / step)) + 1)
-    members = []
-    for i in range(n):
-        t = lo_grid + i * step
-        m, _, _ = _membership(model, t, alpha, y)
-        members.append(m)
+
+    def member(t):
+        return _membership(model, t, alpha, y)[0]
+
+    members = [member(lo_grid + i * step) for i in range(n)]
     comps = []
     start = None
     for i, m in enumerate(members):
@@ -374,28 +365,13 @@ def _scan_region(model, y, alpha, focal, cap, step):
         b = lo_grid + i1 * step
         # refine the outer boundaries of each component
         if i0 > 0:
-            a = _refine_down(model, y, alpha, a, a - step)
+            a = _bisect(member, a, a - step, _ENDPOINT_TOL)
         if i1 < n - 1:
-            b = _refine_up(model, y, alpha, b, b + step)
+            b = _bisect(member, b, b + step, _ENDPOINT_TOL)
         intervals.append((a, b))
     return ConfidenceRegion(intervals=tuple(intervals), alpha=alpha,
                             focal=focal, y=y, prior_spec=model.spec_string(),
                             multiple_components=len(intervals) > 1)
-
-
-def _refine_down(model, y, alpha, inside, outside):
-    while abs(outside - inside) > _ENDPOINT_TOL:
-        mid = 0.5 * (inside + outside)
-        m, _, _ = _membership(model, mid, alpha, y)
-        if m:
-            inside = mid
-        else:
-            outside = mid
-    return 0.5 * (inside + outside)
-
-
-def _refine_up(model, y, alpha, inside, outside):
-    return _refine_down(model, y, alpha, inside, outside)
 
 
 def p_value_curve(model: PriorModel, y, grid):
@@ -405,23 +381,17 @@ def p_value_curve(model: PriorModel, y, grid):
     pvals = []
     for theta0 in grid:
         theta0 = float(theta0)
+
+        def member(alpha):
+            return _membership(model, theta0, alpha, y)[0]
+
         a_lo, a_hi = 1e-9, 1.0 - 1e-9
-        m_lo, _, _ = _membership(model, theta0, a_lo, y)
-        if not m_lo:
+        if not member(a_lo):
             pvals.append(0.0)
-            continue
-        m_hi, _, _ = _membership(model, theta0, a_hi, y)
-        if m_hi:
+        elif member(a_hi):
             pvals.append(1.0)
-            continue
-        while a_hi - a_lo > 1e-6:
-            mid = 0.5 * (a_lo + a_hi)
-            m, _, _ = _membership(model, theta0, mid, y)
-            if m:
-                a_lo = mid
-            else:
-                a_hi = mid
-        pvals.append(0.5 * (a_lo + a_hi))
+        else:
+            pvals.append(_bisect(member, a_lo, a_hi, 1e-6))
     return PValueCurve(grid=tuple(float(t) for t in grid),
                        pvals=tuple(pvals), y=y)
 

@@ -118,7 +118,7 @@ class NefModel:
                     - _core.log_beta(self.a[0], self.b))
         if self.family == "poisson":
             yy = float(y)
-            if yy <= -self.a[0]:
+            if not yy > -self.a[0]:
                 raise DomainError("poisson lambda: y=%r outside (-a, inf)" % (y,))
             a, p = self.a[0], self.p
             return (_core.log_gamma(a + yy) - _core.log_gamma(a)
@@ -127,7 +127,7 @@ class NefModel:
         if len(ys) != len(self.a):
             raise DomainError("multinom lambda: y must have k=%d entries"
                               % len(self.a))
-        if any(v <= -ai for v, ai in zip(ys, self.a)):
+        if not all(v > -ai for v, ai in zip(ys, self.a)):
             raise DomainError("multinom lambda: y=%r outside domain" % (y,))
         asum = sum(self.a)
         nsum = sum(ys)
@@ -340,57 +340,45 @@ def _components(thetas, member_flags):
     return tuple(comps)
 
 
-def confidence_region_nef(model: NefModel, y, alpha, grid=None):
-    """Grid inversion of the acceptance sets, reported in theta scale.
+def theta_grid(model: NefModel, y, grid=None):
+    """(step, thetas): the theta points at which `confidence_region_nef`
+    tests membership of y, and the step it reports as the region's `grid`.
 
-    `grid` sets the resolution: the theta step for the binomial (default
-    1e-4), the log-theta step for the Poisson (default 1e-3), and the simplex
-    denominator for the multinomial (default 60, i.e. cells at multiples of
-    1/60). Returns the union of grid-connected components; the estimator is
-    checked for membership and flagged (never clamped) when outside.
-
-    An alpha outside (0,1), or a y that is not an outcome of the family (see
-    `NefModel.observation`), raises DomainError before any computation.
+    Binomial: multiples of the theta step `grid` (default 1e-4) inside
+    (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from
+    (y+1)/60 to at least 60 (y+1). Multinomial: the open-simplex points
+    with coordinates in multiples of 1/denominator, `grid` being the
+    denominator (default 60; truncated to an integer), and step
+    1/denominator. A `grid` that is not finite and positive, or that leaves
+    no grid point inside the family's range, raises DomainError.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must be in (0,1), got %r" % (alpha,))
-    y = model.observation(y)
-    eta_hat, theta_hat = model.fab_estimator(y)
+    default = {"binom": 1e-4, "poisson": 1e-3, "multinom": 60}[model.family]
+    step = default if grid is None else float(grid)
+    if not (0.0 < step < math.inf):
+        raise DomainError("grid must be finite and positive, got %r" % (grid,))
 
     if model.family == "binom":
-        step = 1e-4 if grid is None else float(grid)
         m = int(round(1.0 / step))
-        thetas = [i * step for i in range(1, m)]
-        flags = [y in acceptance_set(model, model.eta_of_theta(t), alpha).members
-                 for t in thetas]
-        comps = _components(thetas, flags)
-        member = any(lo <= theta_hat <= hi for lo, hi in comps)
-        return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
-                         estimator=theta_hat, estimator_member=member,
-                         intervals=comps, grid=step)
+        if m < 2:
+            raise DomainError("binom: grid step %r leaves no theta inside "
+                              "(0, 1)" % (grid,))
+        return step, [i * step for i in range(1, m)]
 
     if model.family == "poisson":
-        step = 1e-3 if grid is None else float(grid)
         lo = math.log(max(1e-8, (y + 1.0) / 60.0))
         hi = math.log(60.0 * (y + 1.0))
         npts = int(math.ceil((hi - lo) / step)) + 1
-        thetas = [math.exp(lo + i * step) for i in range(npts)]
-        flags = [y in acceptance_set(model, math.log(t), alpha).members
-                 for t in thetas]
-        if flags[0] or flags[-1]:
-            raise NumericalError("poisson theta grid does not cover the region",
-                                 y=y, alpha=alpha)
-        comps = _components(thetas, flags)
-        member = any(lo_ <= theta_hat <= hi_ for lo_, hi_ in comps)
-        return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
-                         estimator=theta_hat, estimator_member=member,
-                         intervals=comps, grid=step)
+        if npts < 3:
+            raise DomainError("poisson: log-theta grid step %r leaves no "
+                              "theta inside the search window" % (grid,))
+        return step, [math.exp(lo + i * step) for i in range(npts)]
 
-    # multinomial: exhaustive barycentric grid
-    denom = 60 if grid is None else int(grid)
-    cells = []
+    denom = int(step)
     k = model.k
+    if denom < k:
+        raise DomainError("multinom: grid (the simplex denominator) must "
+                          "be >= k=%d, got %r" % (k, grid))
+    cells = []
 
     def rec(prefix, rest, left):
         if rest == 1:
@@ -401,20 +389,52 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
             rec(prefix + [c], rest - 1, left - c)
 
     rec([], k, denom)
-    members = []
-    for cell in cells:
-        theta = tuple(c / denom for c in cell)
-        if y in acceptance_set(model, model.eta_of_theta(theta), alpha).members:
-            members.append(theta)
-    member = False
-    # estimator membership judged at its nearest grid cell
-    if members:
-        nearest = min(cells, key=lambda c: sum((ci / denom - ti) ** 2
-                                               for ci, ti in zip(c, theta_hat)))
-        member = tuple(ci / denom for ci in nearest) in set(members)
+    return 1.0 / denom, [tuple(c / denom for c in cell) for cell in cells]
+
+
+def confidence_region_nef(model: NefModel, y, alpha, grid=None):
+    """Grid inversion of the acceptance sets, reported in theta scale.
+
+    `grid` sets the resolution: the theta step for the binomial (default
+    1e-4), the log-theta step for the Poisson (default 1e-3), and the simplex
+    denominator for the multinomial (default 60, i.e. cells at multiples of
+    1/60); see `theta_grid`. Returns the union of grid-connected components;
+    the estimator is checked for membership and flagged (never clamped) when
+    outside.
+
+    An alpha outside (0,1), a y that is not an outcome of the family (see
+    `NefModel.observation`), or an unusable grid (see `theta_grid`) raises
+    DomainError before any computation.
+    """
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0):
+        raise DomainError("alpha must be in (0,1), got %r" % (alpha,))
+    y = model.observation(y)
+    step, thetas = theta_grid(model, y, grid)
+    eta_hat, theta_hat = model.fab_estimator(y)
+    flags = [y in acceptance_set(model, model.eta_of_theta(t), alpha).members
+             for t in thetas]
+
+    if model.family == "multinom":
+        members = [t for t, m in zip(thetas, flags) if m]
+        member = False
+        # estimator membership judged at its nearest grid cell
+        if members:
+            nearest = min(thetas, key=lambda t: sum(
+                (a - b) ** 2 for a, b in zip(t, theta_hat)))
+            member = nearest in set(members)
+        return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
+                         estimator=theta_hat, estimator_member=member,
+                         cells=tuple(members), grid=step)
+
+    if model.family == "poisson" and (flags[0] or flags[-1]):
+        raise NumericalError("poisson theta grid does not cover the region",
+                             y=y, alpha=alpha)
+    comps = _components(thetas, flags)
+    member = any(lo <= theta_hat <= hi for lo, hi in comps)
     return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
                      estimator=theta_hat, estimator_member=member,
-                     cells=tuple(members), grid=1.0 / denom)
+                     intervals=comps, grid=step)
 
 
 def parse_family(spec):

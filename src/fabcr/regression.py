@@ -12,7 +12,6 @@ with prior scale sqrt(Sigma_tilde_jj).
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -92,10 +91,6 @@ def fit_regression(X, Y, Sigma=None, sigma2=None):
     return RegressionProblem(X=X, Y=Y, beta_hat=beta_hat,
                              Sigma_tilde=Sigma_tilde, sigma2=s2,
                              sigma2_estimated=estimated)
-
-
-# backwards-friendly alias used in a few call sites
-RegressionFit = RegressionProblem
 
 
 def combo_region(prob: RegressionProblem, x, prior_spec, alpha) -> ConfidenceRegion:

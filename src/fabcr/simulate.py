@@ -23,7 +23,6 @@ import numpy as np
 
 from fabcr import _core
 from fabcr.errors import DomainError, SpecParseError
-from fabcr.priors import parse_prior
 from fabcr.regression import all_marginal_regions, fit_regression
 
 _AR_RHO = 0.5

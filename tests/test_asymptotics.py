@@ -51,9 +51,15 @@ def test_g_alpha_strictly_increasing():
 def test_g_alpha_inv_roundtrip():
     for alpha in (0.05, 0.1, 0.5):
         assert abs(g_alpha_inv(alpha, 0.0) - 0.5) < 1e-13
-        for w in (0.01, 0.2, 0.5, 0.77, 0.999):
+        for w in (0.01, 0.2, 0.5, 0.77, 0.999, 0.999999):
             t = g_alpha(alpha, w)
             assert abs(g_alpha_inv(alpha, t) - w) < 1e-12
+        # t > 0: the root is above 1/2, where floats are 1.1e-16 apart, wider
+        # than the bisection tolerance
+        for t in (0.5, 3.0):
+            w = g_alpha_inv(alpha, t)
+            assert 0.5 < w < 1.0
+            assert abs(g_alpha(alpha, w) - t) < 1e-9
     # alpha = 1 closed form: g_1^-1(t) = Phi(t/2)
     for t in (-3.0, -0.4, 1.1):
         assert abs(g_alpha_inv(1.0, t) - _core.norm_cdf(t / 2.0)) < 1e-12

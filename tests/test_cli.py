@@ -128,6 +128,19 @@ def test_nef_usage_errors(runner):
     assert res.exit_code == 2
 
 
+def test_nef_bad_grid(runner):
+    for family, y, grid in (("binom:n=8,a=1,b=1", "4", "0"),
+                            ("binom:n=8,a=1,b=1", "4", "nan"),
+                            ("binom:n=8,a=1,b=1", "4", "0.9"),
+                            ("poisson:a=1,p=0.5", "3", "0"),
+                            ("multinom:n=3,a1=1,a2=1,a3=1", "1,1,1", "2")):
+        res = runner.invoke(main, ["nef", "--family", family, "--y", y,
+                                   "--alpha", "0.1", "--grid", grid,
+                                   "--format", "csv"])
+        assert res.exit_code == 2, (family, grid, res.output)
+        assert "grid" in res.output
+
+
 def test_nef_out_of_range_y(runner):
     res = runner.invoke(main, ["nef", "--family", "binom:n=8,a=1,b=1",
                                "--y", "9", "--alpha", "0.1"])

@@ -9,9 +9,10 @@ import pytest
 from conftest import CATALOG_SPECS
 from fabcr import _core
 from fabcr.errors import DomainError, NumericalError
-from fabcr.gaussian import (AcceptanceInterval, ConfidenceRegion,
-                            acceptance_interval, confidence_region,
-                            focal_point, p_value_curve, weight, z_interval)
+from fabcr.gaussian import (AcceptanceInterval, ConfidenceRegion, _bisect,
+                            _march, _np_interval, _solve, acceptance_interval,
+                            confidence_region, focal_point, p_value_curve,
+                            weight, z_interval)
 from fabcr.priors import parse_prior
 
 Z90 = 1.6448536269514722   # Phi^-1(0.95)
@@ -74,6 +75,20 @@ def test_weight_degenerate_regime_gaussian_prior():
         assert abs(mass - 0.9) < 1e-8
         assert ai.lo < theta0 < ai.hi
         assert abs(_lam(m, theta0, ai.lo) - _lam(m, theta0, ai.hi)) < 1e-6
+
+
+@pytest.mark.parametrize("spec", ["horseshoe", "laplace:kappa=1",
+                                  "bp:a=1,b=0.5", "flat+atom:gamma=0.1"])
+def test_cutoff_formulation_matches_weight_solve(spec):
+    # where w is well inside (0,1) both formulations give the same interval;
+    # for these priors the cutoff path runs its own minimiser and root search
+    m = parse_prior(spec, sigma=1.3)
+    for theta0 in (-7.0, 0.0, 0.3, 6.0):
+        for alpha in (0.01, 0.1):
+            w, lo, hi = _solve(m, theta0, alpha)
+            w2, lo2, hi2 = _np_interval(m, theta0, alpha)
+            assert abs(w2 - w) < 1e-8 and abs(lo2 - lo) < 1e-8 \
+                and abs(hi2 - hi) < 1e-8, (theta0, alpha)
 
 
 def test_weight_bounds_for_tail_compliant_priors():
@@ -162,6 +177,14 @@ def test_robust_region_reverts_far_out():
         assert abs((reg.hi - 100.0) - Z90) < 0.05
 
 
+def test_region_where_floats_are_coarser_than_the_tolerance():
+    # at y = 1e9 floats are 1.2e-7 apart, wider than the 1e-8 endpoint
+    # tolerance: the bisection stops at adjacent floats
+    reg = confidence_region(parse_prior("horseshoe"), 1e9, 0.1)
+    assert abs((reg.lo - 1e9) + Z90) < 1e-6
+    assert abs((reg.hi - 1e9) - Z90) < 1e-6
+
+
 def test_bounded_width_for_robust_priors():
     for spec in ("horseshoe", "laplace:kappa=1"):
         m = parse_prior(spec)
@@ -194,6 +217,18 @@ def test_location_equivariance():
     shifted = confidence_region(parse_prior("horseshoe:loc=5"), 7.0, 0.1)
     assert abs(shifted.lo - (base.lo + 5.0)) < 1e-6
     assert abs(shifted.hi - (base.hi + 5.0)) < 1e-6
+
+
+@pytest.mark.parametrize("spec", ["horseshoe", "laplace:kappa=1"])
+def test_region_far_below_prior_location(spec):
+    # y far on the near-zero side of a distant location: the endpoint search
+    # range is measured from the location, so it still holds the region
+    base = confidence_region(parse_prior(spec), -1000.0, 0.1)
+    loc = ("," if ":" in spec else ":") + "loc=1000"
+    shifted = confidence_region(parse_prior(spec + loc), 0.0, 0.1)
+    assert shifted.lo < shifted.focal < shifted.hi
+    assert abs(shifted.lo - (base.lo + 1000.0)) < 1e-6
+    assert abs(shifted.hi - (base.hi + 1000.0)) < 1e-6
 
 
 # -- p-value curves ---------------------------------------------------------
@@ -230,3 +265,56 @@ def test_z_interval():
     assert abs(hi - (2.0 + Z95)) < 1e-12
     lo, hi = z_interval(0.0, 3.0, 0.1)
     assert abs(hi - 3.0 * Z90) < 1e-12
+
+
+# -- bracket search ---------------------------------------------------------
+
+
+def test_march_returns_last_step_bracket():
+    probes = []
+
+    def below_ten(t):
+        probes.append(t)
+        return t < 10.0
+
+    # probes at start + 1, 3, 7, 15: the last inside/outside pair is returned
+    assert _march(below_ten, 0.0, 1.0, 1.0) == (7.0, 15.0)
+    assert probes == [1.0, 3.0, 7.0, 15.0]
+    assert _march(lambda t: t > -10.0, 0.0, -1.0, 1.0) == (-7.0, -15.0)
+
+
+def test_march_clips_at_limit():
+    # the probe past the limit is moved onto it; inside there means None
+    assert _march(lambda t: t < 10.0, 0.0, 1.0, 1.0, limit=12.0) == (7.0, 12.0)
+    assert _march(lambda t: t < 10.0, 0.0, 1.0, 1.0, limit=9.0) is None
+    assert _march(lambda t: t > -10.0, 0.0, -1.0, 1.0, limit=-9.0) is None
+
+
+def test_march_step_budget_raises():
+    with pytest.raises(NumericalError) as info:
+        _march(lambda t: True, 0.0, 1.0, 1.0, prior="test")
+    assert info.value.diagnostics["prior"] == "test"
+    assert info.value.diagnostics["direction"] == 1.0
+
+
+def test_bisect_reaches_tolerance():
+    root = math.sqrt(2.0)
+    got = _bisect(lambda t: t * t < 2.0, 1.0, 2.0, 1e-10)
+    assert abs(got - root) <= 1e-10
+    # either end may be the inside one
+    got = _bisect(lambda t: t * t > 2.0, 2.0, 1.0, 1e-10)
+    assert abs(got - root) <= 1e-10
+
+
+def test_bisect_stops_below_float_spacing():
+    # a tolerance below the spacing of floats near the root cannot be met;
+    # the search ends once no float lies between the bracket ends
+    calls = []
+
+    def inside_at(t):
+        calls.append(t)
+        return t < 0.75
+
+    got = _bisect(inside_at, 0.5, 1.0, 1e-300)
+    assert abs(got - 0.75) <= 2.0 ** -52
+    assert len(calls) <= 60

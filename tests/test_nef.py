@@ -11,7 +11,7 @@ from scipy import stats
 
 from fabcr.errors import DomainError, NumericalError, SpecParseError
 from fabcr.nef import (NefModel, acceptance_set, confidence_region_nef,
-                       parse_family)
+                       parse_family, theta_grid)
 from fabcr import specfun
 
 EULER = 0.57721566490153286061
@@ -138,6 +138,8 @@ def test_fab_estimator_multinom_uniform():
     ("poisson:a=1,p=0.5", -1.5),
     ("multinom:n=15,a1=1,a2=1,a3=1", (-1, 8, 8)),
     ("multinom:n=15,a1=1,a2=1,a3=1", (5, 10)),
+    ("binom:n=8,a=1,b=1", math.nan), ("poisson:a=1,p=0.5", math.nan),
+    ("multinom:n=15,a1=1,a2=1,a3=1", (math.nan, 8, 7)),
 ])
 def test_grad_lambda_outside_domain(spec, y):
     # the same open domain as lam: digamma is never reached at x <= 0
@@ -333,6 +335,48 @@ def test_region_rejects_invalid_y(spec, y):
     # rather than truncated or answered with an empty region
     with pytest.raises(DomainError):
         confidence_region_nef(parse_family(spec), y, 0.1)
+
+
+@pytest.mark.parametrize("spec,y,grid", [
+    ("binom:n=8,a=1,b=1", 4, 0.0), ("binom:n=8,a=1,b=1", 4, -0.01),
+    ("binom:n=8,a=1,b=1", 4, math.nan), ("binom:n=8,a=1,b=1", 4, math.inf),
+    ("binom:n=8,a=1,b=1", 4, 0.9),
+    ("poisson:a=1,p=0.5", 3, 0.0), ("poisson:a=1,p=0.5", 3, -1e-3),
+    ("poisson:a=1,p=0.5", 3, math.nan), ("poisson:a=1,p=0.5", 3, 10.0),
+    ("multinom:n=3,a1=1,a2=1,a3=1", (1, 1, 1), 0),
+    ("multinom:n=3,a1=1,a2=1,a3=1", (1, 1, 1), 2),
+    ("multinom:n=3,a1=1,a2=1,a3=1", (1, 1, 1), 2.5),
+    ("multinom:n=3,a1=1,a2=1,a3=1", (1, 1, 1), math.nan),
+])
+def test_region_rejects_invalid_grid(spec, y, grid):
+    # a grid that is not finite and positive, or that leaves no interior
+    # theta, raises DomainError instead of an arithmetic error or an empty
+    # region
+    with pytest.raises(DomainError):
+        confidence_region_nef(parse_family(spec), y, 0.1, grid=grid)
+
+
+def test_theta_grid_is_the_region_grid():
+    m = parse_family("binom:n=8,a=1,b=1")
+    step, thetas = theta_grid(m, 4, 0.01)
+    assert step == 0.01 and len(thetas) == 99
+    assert thetas[0] == 0.01 and thetas[-1] == 99 * 0.01
+    assert theta_grid(m, 4)[0] == 1e-4
+    reg = confidence_region_nef(m, 4, 0.1, grid=0.01)
+    assert reg.grid == step
+    assert {t for t in thetas if reg.contains(t)} \
+        == {t for lo, hi in reg.intervals for t in thetas if lo <= t <= hi}
+    assert reg.intervals[0][0] in thetas and reg.intervals[-1][1] in thetas
+    p = parse_family("poisson:a=1,p=0.5")
+    step, thetas = theta_grid(p, 3, 1e-2)
+    assert abs(thetas[0] - 4.0 / 60.0) < 1e-15 and thetas[-1] >= 240.0
+    mm = parse_family("multinom:n=3,a1=1,a2=1,a3=1")
+    step, cells = theta_grid(mm, (1, 1, 1), 4)
+    assert step == 0.25
+    assert sorted(cells) == [(0.25, 0.25, 0.5), (0.25, 0.5, 0.25),
+                             (0.5, 0.25, 0.25)]
+    assert set(confidence_region_nef(mm, (1, 1, 1), 0.1, grid=4).cells) \
+        <= set(cells)
 
 
 def test_observation_canonical_form():
