@@ -1,17 +1,11 @@
-"""Compare the compiled and pure-Python kernel backends.
+"""Time the numerical kernels of ``fabcr._core``.
 
 Usage: python benchmarks/bench_kernels.py
 """
 
-import importlib.util
 import time
 
-from fabcr._core import _kernels_py as kpy
-
-try:
-    from fabcr._core import _kernels_cy as kcy
-except ImportError:
-    kcy = None
+from fabcr import _core
 
 
 def bench(label, fn, args, n):
@@ -35,18 +29,8 @@ CASES = [
 
 
 def main():
-    for mod, name in [(kpy, "python"), (kcy, "cython")]:
-        if mod is None:
-            print("cython backend not built; skipping")
-            continue
-        print("backend: %s" % name)
-        for label, fn, args, n in CASES:
-            bench(label, getattr(mod, fn), args, n)
-    if kcy is not None:
-        print("speedup (weight_solve horseshoe):")
-        tp = bench("python", kpy.weight_solve, (5, 0.0, 0.0, 1.0, 7.7, 0.1), 2000)
-        tc = bench("cython", kcy.weight_solve, (5, 0.0, 0.0, 1.0, 7.7, 0.1), 20000)
-        print("  %.1fx" % (tp / tc))
+    for label, fn, args, n in CASES:
+        bench(label, getattr(_core, fn), args, n)
 
 
 if __name__ == "__main__":

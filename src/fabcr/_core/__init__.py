@@ -1,51 +1,36 @@
-"""Kernel backend selection.
+"""The numerical kernels, implemented in pure Python in ``_kernels_py``.
 
-Prefers the compiled Cython kernels; falls back to the pure-Python twin when
-the extension is unavailable. Override with FABCR_BACKEND=python|cython.
+They live in that module, not here, so that calls between kernels bypass
+these re-exported names (the benchmark's tracer wraps only the latter).
 """
 
-import os
+from ._kernels_py import (
+    KIND_BESSEL,
+    KIND_BETAPRIME,
+    KIND_FLAT,
+    KIND_FLAT_ATOM,
+    KIND_GAUSSIAN,
+    KIND_GPD,
+    KIND_HORSESHOE,
+    KIND_LAPLACE,
+    bessel_i0,
+    bessel_i0e,
+    bessel_i1,
+    bessel_i1e,
+    dawson,
+    digamma,
+    dlog_marginal,
+    kummer_1f1,
+    log_beta,
+    log_gamma,
+    log_kummer_1f1_neg,
+    log_marginal,
+    norm_cdf,
+    norm_log_cdf,
+    norm_pdf,
+    norm_quantile,
+    posterior_mean,
+    weight_solve,
+)
 
-_requested = os.environ.get("FABCR_BACKEND", "").strip().lower()
-
-if _requested == "python":
-    from . import _kernels_py as _impl
-    BACKEND = "python"
-elif _requested == "cython":
-    from . import _kernels_cy as _impl  # raises ImportError if not compiled
-    BACKEND = "cython"
-else:
-    try:
-        from . import _kernels_cy as _impl
-        BACKEND = "cython"
-    except ImportError:
-        from . import _kernels_py as _impl
-        BACKEND = "python"
-
-KIND_FLAT = _impl.KIND_FLAT
-KIND_GAUSSIAN = _impl.KIND_GAUSSIAN
-KIND_BETAPRIME = _impl.KIND_BETAPRIME
-KIND_LAPLACE = _impl.KIND_LAPLACE
-KIND_FLAT_ATOM = _impl.KIND_FLAT_ATOM
-KIND_HORSESHOE = _impl.KIND_HORSESHOE
-KIND_GPD = _impl.KIND_GPD
-KIND_BESSEL = _impl.KIND_BESSEL
-
-norm_pdf = _impl.norm_pdf
-norm_cdf = _impl.norm_cdf
-norm_log_cdf = _impl.norm_log_cdf
-norm_quantile = _impl.norm_quantile
-kummer_1f1 = _impl.kummer_1f1
-log_kummer_1f1_neg = _impl.log_kummer_1f1_neg
-dawson = _impl.dawson
-bessel_i0e = _impl.bessel_i0e
-bessel_i1e = _impl.bessel_i1e
-bessel_i0 = _impl.bessel_i0
-bessel_i1 = _impl.bessel_i1
-digamma = _impl.digamma
-log_gamma = _impl.log_gamma
-log_beta = _impl.log_beta
-log_marginal = _impl.log_marginal
-dlog_marginal = _impl.dlog_marginal
-posterior_mean = _impl.posterior_mean
-weight_solve = _impl.weight_solve
+BACKEND = "python"

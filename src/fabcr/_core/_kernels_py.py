@@ -1,9 +1,8 @@
 """Pure-Python scalar kernels.
 
-This module is the reference implementation of the numerical core: special
-functions, log-marginal likelihoods for the prior catalog, and the spending
-weight solve. A Cython twin (``_kernels_cy``) implements the same API for
-speed; the backend is chosen in ``fabcr._core``. Keep the two in sync.
+The numerical core: special functions, log-marginal likelihoods for the
+prior catalog, and the spending weight solve. The package reaches them
+through the re-exports in ``fabcr._core``.
 
 All functions are pure and operate on Python floats. Argument validation
 (domain errors for callers) lives in the public wrapper modules; kernels
@@ -13,7 +12,7 @@ assume finite inputs unless stated otherwise.
 import math
 
 # ---------------------------------------------------------------------------
-# prior kind codes (shared with the Cython twin and fabcr.priors)
+# prior kind codes (shared with fabcr.priors)
 # ---------------------------------------------------------------------------
 
 KIND_FLAT = 0

@@ -75,11 +75,11 @@ class NefModel:
             return self._simplex_lattice()
         theta = math.exp(eta) if eta is not None else self.a[0] * (1 - self.p) / self.p
         m = int(theta + 12.0 * math.sqrt(theta + 1.0) + 30.0)
-        while self._poisson_mass(theta, m) < mass:
+        while m <= 10 ** 8 and self._poisson_tail(theta, m) > 1.0 - mass:
             m *= 2
-            if m > 10 ** 8:
-                raise NumericalError("poisson support truncation runaway",
-                                     theta=theta)
+        if m > 10 ** 8:
+            raise NumericalError("poisson support truncation runaway",
+                                 theta=theta, support_max=m)
         return list(range(m + 1))
 
     def _simplex_lattice(self):
@@ -97,13 +97,18 @@ class NefModel:
         return pts
 
     @staticmethod
-    def _poisson_mass(theta, m):
-        # P(Y <= m) for Y ~ Poisson(theta), direct stable summation
-        lp = -theta
-        total = math.exp(lp)
-        for y in range(1, m + 1):
-            lp += math.log(theta) - math.log(y)
-            total += math.exp(lp)
+    def _poisson_tail(theta, m):
+        """P(Y > m) for Y ~ Poisson(theta) and m >= theta, summed upward from
+        m + 1 until a term falls below 1e-17 of the sum. Summing the tail
+        keeps its relative accuracy; 1 - P(Y <= m) has an absolute rounding
+        error above 1e-13 once theta is about 1e3."""
+        term = math.exp((m + 1) * math.log(theta) - theta - math.lgamma(m + 2.0))
+        total = term
+        y = m + 1
+        while term > 1e-17 * total:
+            y += 1
+            term *= theta / y
+            total += term
         return total
 
     # -- prior cumulant lambda and its gradient ----------------------------
@@ -340,6 +345,25 @@ def _components(thetas, member_flags):
     return tuple(comps)
 
 
+def _zero_accepted_below(model, theta, alpha):
+    """Whether the Poisson outcome y = 0 is accepted at every theta below
+    `theta`, by either of two sufficient conditions:
+
+    * the outcomes y' > 0 hold null mass 1 - exp(-theta) < 1 - alpha (less
+      a margin for the rounding of the summed masses), so the acceptance set
+      reaches 0 before its target mass;
+    * 0 sorts first on the support at `theta`: lambda_eta(y') -
+      lambda_eta(0) = lambda(y') - lambda(0) - eta y' grows as eta falls and
+      is convex in y' (log-gamma is), so 0 then sorts first among all
+      outcomes at every smaller theta.
+    """
+    if -math.expm1(-theta) < 1.0 - alpha - 1e-9:
+        return True
+    eta = model.eta_of_theta(theta)
+    first = min(model.support(eta=eta), key=lambda v: (model._lam_eta(eta, v), v))
+    return first == 0
+
+
 def theta_grid(model: NefModel, y, grid=None):
     """(step, thetas): the theta points at which `confidence_region_nef`
     tests membership of y, and the step it reports as the region's `grid`.
@@ -400,7 +424,9 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     denominator for the multinomial (default 60, i.e. cells at multiples of
     1/60); see `theta_grid`. Returns the union of grid-connected components;
     the estimator is checked for membership and flagged (never clamped) when
-    outside.
+    outside. A Poisson region that reaches the first grid point starts at
+    0.0 if y = 0 and 0 is accepted at every smaller theta; any other Poisson
+    region that reaches either end of the grid raises NumericalError.
 
     An alpha outside (0,1), a y that is not an outcome of the family (see
     `NefModel.observation`), or an unusable grid (see `theta_grid`) raises
@@ -427,10 +453,13 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
                          estimator=theta_hat, estimator_member=member,
                          cells=tuple(members), grid=step)
 
-    if model.family == "poisson" and (flags[0] or flags[-1]):
-        raise NumericalError("poisson theta grid does not cover the region",
-                             y=y, alpha=alpha)
     comps = _components(thetas, flags)
+    if model.family == "poisson" and (flags[0] or flags[-1]):
+        if flags[-1] or y != 0 \
+                or not _zero_accepted_below(model, thetas[0], alpha):
+            raise NumericalError("poisson theta grid does not cover the "
+                                 "region", y=y, alpha=alpha)
+        comps = ((0.0, comps[0][1]),) + comps[1:]
     member = any(lo <= theta_hat <= hi for lo, hi in comps)
     return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
                      estimator=theta_hat, estimator_member=member,

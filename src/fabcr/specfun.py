@@ -1,8 +1,8 @@
 """Special functions with validated domains.
 
-Thin wrappers over the kernel backend (compiled when available) adding the
-domain checks the bare kernels skip. Everything here is scalar, deterministic
-and thread-safe.
+Thin wrappers over the kernels in ``fabcr._core`` adding the domain checks
+the bare kernels skip. Everything here is scalar, deterministic and
+thread-safe.
 """
 
 import math

@@ -152,6 +152,13 @@ def test_nef_out_of_range_y(runner):
     assert "nonnegative integer" in res.output
 
 
+def test_nef_poisson_zero(runner):
+    res = runner.invoke(main, ["nef", "--family", "poisson:a=1,p=0.5",
+                               "--y", "0", "--alpha", "0.1"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["intervals"][0][0] == 0.0
+
+
 # -- limits -----------------------------------------------------------------
 
 

@@ -258,6 +258,24 @@ def test_poisson_truncation_invariance():
         assert a1.members == a2.members, theta
 
 
+@pytest.mark.parametrize("theta,m", [(0.01, 10), (1.0, 5), (7.0, 12),
+                                     (100.0, 160), (1285.1653193733594, 1500)])
+def test_poisson_tail_matches_scipy(theta, m):
+    want = stats.poisson(theta).sf(m)
+    # the start term's exponent is ~1e4 at theta ~ 1e3: ~1e-12 relative rounding
+    assert abs(NefModel._poisson_tail(theta, m) - want) <= 1e-10 * want
+
+
+def test_poisson_support_at_large_theta():
+    # the forward-summed P(Y <= m) rounded to below 1 - 1e-12 here, so the
+    # support doubled until the 1e8 cap
+    theta = 1285.1653193733594
+    m = parse_family("poisson:a=1,p=0.5")
+    support = m.support(eta=math.log(theta))
+    assert support == list(range(len(support)))
+    assert stats.poisson(theta).sf(support[-1]) < 1e-12
+
+
 # -- regions ----------------------------------------------------------------
 
 
@@ -287,6 +305,30 @@ def test_poisson_region_basic():
     assert reg.contains(3.0)
     assert not reg.contains(30.0)
     assert not reg.contains(0.05)
+
+
+@pytest.mark.parametrize("spec,alpha", [
+    ("poisson:a=1,p=0.5", 0.1),    # y > 0 hold less than 1 - alpha there
+    ("poisson:a=0.01,p=0.5", 0.1),
+    ("poisson:a=1,p=0.5", 0.99),   # 0 sorts first at the first grid theta
+])
+def test_poisson_region_at_zero(spec, alpha):
+    m = parse_family(spec)
+    reg = confidence_region_nef(m, 0, alpha, grid=1e-2)
+    assert reg.intervals[0][0] == 0.0
+    a, p = m.a[0], m.p
+    first = theta_grid(m, 0, 1e-2)[1][0]
+    for theta in (first * 0.9, first / 2, first / 10, 1e-6):
+        want = _oracle_members(stats.poisson(theta).pmf,
+                               stats.nbinom(a, p).pmf, range(40), alpha)
+        assert 0 in want and reg.contains(theta), theta
+
+
+def test_poisson_region_large_count():
+    m = parse_family("poisson:a=1,p=0.5")
+    reg = confidence_region_nef(m, 30, 0.1, grid=1e-2)
+    assert reg.estimator_member
+    assert reg.contains(30.0) and not reg.contains(1.0)
 
 
 def test_multinom_region_symmetry():
