@@ -15,17 +15,9 @@ import math
 from dataclasses import dataclass
 
 from fabcr import _core
-from fabcr.errors import DomainError, UnsupportedModelError
+from fabcr.errors import DomainError, UnsupportedModelError, check_alpha
 from fabcr.gaussian import _bisect
 from fabcr.priors import PriorModel
-
-
-def _check_alpha(alpha, closed_top=False):
-    alpha = float(alpha)
-    hi_ok = alpha <= 1.0 if closed_top else alpha < 1.0
-    if not (0.0 < alpha and hi_ok):
-        raise DomainError("alpha out of range: %r" % (alpha,))
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -42,7 +34,7 @@ class LimitInterval:
 
 def g_alpha(alpha, w):
     """Phi^-1(alpha w) - Phi^-1(alpha (1-w)); strictly increasing in w."""
-    alpha = _check_alpha(alpha, closed_top=True)
+    alpha = check_alpha(alpha, closed_top=True)
     w = float(w)
     if not (0.0 < w < 1.0):
         raise DomainError("w must be in (0,1), got %r" % (w,))
@@ -51,7 +43,7 @@ def g_alpha(alpha, w):
 
 def g_alpha_inv(alpha, t):
     """Inverse of g_alpha in w, by bisection on [1e-16, 1 - 1e-16]."""
-    alpha = _check_alpha(alpha, closed_top=True)
+    alpha = check_alpha(alpha, closed_top=True)
     t = float(t)
     if not math.isfinite(t):
         raise DomainError("t must be finite, got %r" % (t,))
@@ -79,14 +71,14 @@ def _tail_or_raise(model: PriorModel):
 
 def limit_interval(model: PriorModel, alpha, sigma=None, direction="+inf"):
     """Limit of C_alpha(y) - y as y tends to +inf or -inf."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     if direction not in ("+inf", "-inf"):
         raise DomainError("direction must be '+inf' or '-inf', got %r"
                           % (direction,))
     prof = _tail_or_raise(model)
     s = model.sigma if sigma is None else float(sigma)
-    if s <= 0:
-        raise DomainError("sigma must be positive, got %r" % (s,))
+    if not (0.0 < s < math.inf):
+        raise DomainError("sigma must be finite and positive, got %r" % (s,))
     c = c_alpha(alpha, prof.kappa)
     if not (0.0 < c <= _core.norm_cdf(-prof.kappa)):
         raise UnsupportedModelError(

@@ -203,8 +203,8 @@ def regress(data_path, response, covariates, prior_spec, alpha, impute_median,
 @main.command(name="simulate")
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--threads", type=int, default=None,
-              help="worker processes (default: FABCR_THREADS or 1)")
+@click.option("--threads", type=int, default=1, show_default=True,
+              help="worker processes")
 @_guarded
 def simulate_cmd(config_path, threads):
     """Monte-Carlo coverage/width experiment from a config file."""

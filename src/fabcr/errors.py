@@ -13,6 +13,16 @@ class DomainError(FabcrError, ValueError):
     """Input outside the stated domain of an operation."""
 
 
+def check_alpha(alpha, closed_top=False):
+    """alpha as a float in (0, 1), or in (0, 1] with `closed_top`; any other
+    value raises DomainError."""
+    alpha = float(alpha)
+    if not (0.0 < alpha < 1.0 or (closed_top and alpha == 1.0)):
+        raise DomainError("alpha must be in (0,%s, got %r"
+                          % ("1]" if closed_top else "1)", alpha))
+    return alpha
+
+
 class SpecParseError(FabcrError, ValueError):
     """Malformed prior/family/config spec string."""
 

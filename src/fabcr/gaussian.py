@@ -17,18 +17,19 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from fabcr import _core
-from fabcr.errors import DomainError, NumericalError, RegionBoundError
+from fabcr.errors import (DomainError, NumericalError, RegionBoundError,
+                          check_alpha)
 from fabcr.priors import PriorModel
 
 _ENDPOINT_TOL = 1e-8
 _MARCH_STEPS = 200
 
 
-def _check_alpha(alpha):
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must be in (0,1), got %r" % (alpha,))
-    return alpha
+def _finite(name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError("%s must be finite, got %r" % (name, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -172,7 +173,7 @@ def _lam(model, theta0, y):
 def _lam_minimizer(model, theta0):
     """Solve posterior_mean(t) = theta0 (the minimiser of lam)."""
     if model.kind == "gaussian":
-        tau = model.sigma if model.tau is None else model.tau
+        tau = model._kernel_args()[1]
         return model.loc + (theta0 - model.loc) * \
             (model.sigma ** 2 + tau ** 2) / tau ** 2
     # the posterior mean increases in t: march toward theta0's side of it
@@ -191,8 +192,7 @@ def _lam_root(model, theta0, level, start, direction):
     if model.kind == "gaussian":
         # lam is an explicit quadratic: solve it directly
         s2 = model.sigma ** 2
-        tau = model.sigma if model.tau is None else model.tau
-        v = s2 + tau * tau
+        v = s2 + model._kernel_args()[1] ** 2
         mu, t0 = model.loc, theta0 - model.loc
         a = 0.5 / s2 - 0.5 / v
         b = -t0 / s2
@@ -249,17 +249,12 @@ def _np_interval(model, theta0, alpha):
 def weight(model: PriorModel, theta0, alpha):
     """Spending weight w in (0,1): the share of alpha put in the lower tail
     of the acceptance interval at theta0."""
-    alpha = _check_alpha(alpha)
-    try:
-        w, _, _ = _solve(model, float(theta0), alpha)
-    except _DegenerateWeight:
-        w, _, _ = _np_interval(model, float(theta0), alpha)
-    return w
+    return acceptance_interval(model, theta0, alpha).w
 
 
 def acceptance_interval(model: PriorModel, theta0, alpha):
-    alpha = _check_alpha(alpha)
-    theta0 = float(theta0)
+    alpha = check_alpha(alpha)
+    theta0 = _finite("theta0", theta0)
     try:
         w, lo, hi = _solve(model, theta0, alpha)
     except _DegenerateWeight:
@@ -312,12 +307,14 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
     Default mode brackets outward from the focal point and returns a single
     interval. Passing ``scan_step`` enables a diagnostic dense scan of the
     membership function; if the scan detects disconnected components, the
-    union is returned and ``multiple_components`` is set.
+    union is returned and ``multiple_components`` is set. A non-finite y,
+    or a ``scan_step`` that is not finite and positive, raises DomainError.
     """
-    alpha = _check_alpha(alpha)
-    y = float(y)
-    if not math.isfinite(y):
-        raise DomainError("y must be finite, got %r" % (y,))
+    alpha = check_alpha(alpha)
+    y = _finite("y", y)
+    if scan_step is not None and not (0.0 < float(scan_step) < math.inf):
+        raise DomainError("scan_step must be finite and positive, got %r"
+                          % (scan_step,))
     focal = model.posterior_mean(y)
     member, lo0, hi0 = _membership(model, focal, alpha, y)
     if not member:
@@ -376,12 +373,12 @@ def _scan_region(model, y, alpha, focal, cap, step):
 
 def p_value_curve(model: PriorModel, y, grid):
     """p_y(theta0) = sup {alpha : theta0 in C_alpha(y)}, by bisection on
-    alpha (tolerance 1e-6) using direct membership tests."""
-    y = float(y)
+    alpha (tolerance 1e-6) using direct membership tests. A non-finite y or
+    grid point raises DomainError."""
+    y = _finite("y", y)
+    grid = tuple(_finite("theta0", t) for t in grid)
     pvals = []
     for theta0 in grid:
-        theta0 = float(theta0)
-
         def member(alpha):
             return _membership(model, theta0, alpha, y)[0]
 
@@ -392,12 +389,11 @@ def p_value_curve(model: PriorModel, y, grid):
             pvals.append(1.0)
         else:
             pvals.append(_bisect(member, a_lo, a_hi, 1e-6))
-    return PValueCurve(grid=tuple(float(t) for t in grid),
-                       pvals=tuple(pvals), y=y)
+    return PValueCurve(grid=grid, pvals=tuple(pvals), y=y)
 
 
 def z_interval(y, sigma, alpha):
     """Classical equal-tailed interval y +- sigma * Phi^-1(1 - alpha/2)."""
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha)
     half = sigma * _core.norm_quantile(1.0 - 0.5 * alpha)
     return (y - half, y + half)

@@ -20,11 +20,24 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from fabcr import _core
-from fabcr.errors import DomainError, NumericalError, SpecParseError
+from fabcr.errors import (DomainError, NumericalError, SpecParseError,
+                          check_alpha)
+from fabcr.priors import _parse_spec
 
 FAMILIES = ("binom", "poisson", "multinom")
 
 _TIE_REL = 1e-12
+
+
+def _compositions(total, k, least):
+    """The k-tuples of integers >= `least` summing to `total`, in
+    lexicographic order."""
+    heads = [()]
+    for rest in range(k - 1, 0, -1):
+        # leave at least `least` for each of the `rest` entries still to come
+        heads = [h + (c,) for h in heads
+                 for c in range(least, total - sum(h) - least * rest + 1)]
+    return [h + (total - sum(h),) for h in heads]
 
 
 @dataclass(frozen=True)
@@ -66,35 +79,24 @@ class NefModel:
 
     # -- support -----------------------------------------------------------
 
-    def support(self, eta=None, mass=1.0 - 1e-12):
-        """Support points; for Poisson, truncated where the null mass under
-        eta reaches `mass` (enlarged automatically by acceptance_set)."""
+    def support(self, eta=None):
+        """Support points: {0..n} for the binomial, the k-tuples of counts
+        summing to n for the multinomial. For the Poisson, {0..m} with m =
+        theta + 12 sqrt(theta + 1) + 30 (theta = exp(eta), or the prior mean
+        when eta is None), doubled until the null tail P(Y > m) is at most
+        1e-12."""
         if self.family == "binom":
             return list(range(self.n + 1))
         if self.family == "multinom":
-            return self._simplex_lattice()
+            return _compositions(self.n, len(self.a), 0)
         theta = math.exp(eta) if eta is not None else self.a[0] * (1 - self.p) / self.p
         m = int(theta + 12.0 * math.sqrt(theta + 1.0) + 30.0)
-        while m <= 10 ** 8 and self._poisson_tail(theta, m) > 1.0 - mass:
+        while m <= 10 ** 8 and self._poisson_tail(theta, m) > 1e-12:
             m *= 2
         if m > 10 ** 8:
             raise NumericalError("poisson support truncation runaway",
                                  theta=theta, support_max=m)
         return list(range(m + 1))
-
-    def _simplex_lattice(self):
-        k, n = len(self.a), self.n
-        pts = []
-
-        def rec(prefix, rest, left):
-            if rest == 1:
-                pts.append(tuple(prefix) + (left,))
-                return
-            for c in range(left + 1):
-                rec(prefix + [c], rest - 1, left - c)
-
-        rec([], k, n)
-        return pts
 
     @staticmethod
     def _poisson_tail(theta, m):
@@ -270,14 +272,10 @@ def acceptance_set(model: NefModel, eta, alpha):
     the target mass is reached; points tied with the cutoff are included
     (over-coverage is permitted), with deterministic ordering by y.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must be in (0,1), got %r" % (alpha,))
+    alpha = check_alpha(alpha)
     support = model.support(eta=eta if model.family == "poisson" else None)
-    scored = sorted(((model._lam_eta(eta, y), y) for y in support),
-                    key=lambda t: (t[0], t[1] if model.family != "multinom" else t[1]))
+    scored = sorted((model._lam_eta(eta, y), y) for y in support)
     target = 1.0 - alpha
-    total_mass = 0.0
     acc = 0.0
     cutoff = None
     members = []
@@ -369,11 +367,12 @@ def theta_grid(model: NefModel, y, grid=None):
     tests membership of y, and the step it reports as the region's `grid`.
 
     Binomial: multiples of the theta step `grid` (default 1e-4) inside
-    (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from
-    (y+1)/60 to at least 60 (y+1). Multinomial: the open-simplex points
-    with coordinates in multiples of 1/denominator, `grid` being the
-    denominator (default 60; truncated to an integer), and step
-    1/denominator. A `grid` that is not finite and positive, or that leaves
+    (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from the
+    smaller of (y+1)/60 and the FAB estimator (but not below 1e-8) to at
+    least 60 (y+1), so the window holds the estimator, which lies in every
+    region. Multinomial: the open-simplex points with coordinates in
+    multiples of 1/denominator, `grid` being the denominator (default 60;
+    truncated to an integer), and step 1/denominator. A `grid` that is not finite and positive, or that leaves
     no grid point inside the family's range, raises DomainError.
     """
     default = {"binom": 1e-4, "poisson": 1e-3, "multinom": 60}[model.family]
@@ -389,7 +388,8 @@ def theta_grid(model: NefModel, y, grid=None):
         return step, [i * step for i in range(1, m)]
 
     if model.family == "poisson":
-        lo = math.log(max(1e-8, (y + 1.0) / 60.0))
+        theta_hat = model.fab_estimator(y)[1]
+        lo = math.log(max(1e-8, min((y + 1.0) / 60.0, theta_hat)))
         hi = math.log(60.0 * (y + 1.0))
         npts = int(math.ceil((hi - lo) / step)) + 1
         if npts < 3:
@@ -398,22 +398,11 @@ def theta_grid(model: NefModel, y, grid=None):
         return step, [math.exp(lo + i * step) for i in range(npts)]
 
     denom = int(step)
-    k = model.k
-    if denom < k:
+    if denom < model.k:
         raise DomainError("multinom: grid (the simplex denominator) must "
-                          "be >= k=%d, got %r" % (k, grid))
-    cells = []
-
-    def rec(prefix, rest, left):
-        if rest == 1:
-            if left > 0:
-                cells.append(tuple(prefix) + (left,))
-            return
-        for c in range(1, left - (rest - 1) + 1):
-            rec(prefix + [c], rest - 1, left - c)
-
-    rec([], k, denom)
-    return 1.0 / denom, [tuple(c / denom for c in cell) for cell in cells]
+                          "be >= k=%d, got %r" % (model.k, grid))
+    return 1.0 / denom, [tuple(c / denom for c in cell)
+                         for cell in _compositions(denom, model.k, 1)]
 
 
 def confidence_region_nef(model: NefModel, y, alpha, grid=None):
@@ -432,9 +421,7 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     `NefModel.observation`), or an unusable grid (see `theta_grid`) raises
     DomainError before any computation.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must be in (0,1), got %r" % (alpha,))
+    alpha = check_alpha(alpha)
     y = model.observation(y)
     step, thetas = theta_grid(model, y, grid)
     eta_hat, theta_hat = model.fab_estimator(y)
@@ -469,48 +456,21 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
 def parse_family(spec):
     """Build a NefModel from a spec string: "binom:n=8,a=1,b=1",
     "poisson:a=1,p=0.5", "multinom:n=15,a1=1,a2=1,a3=1"."""
-    if not isinstance(spec, str) or not spec.strip():
-        raise SpecParseError("empty family spec")
-    head, _, tail = spec.strip().partition(":")
-    family = head.strip().lower()
-    if family not in FAMILIES:
-        raise SpecParseError("unknown NEF family %r in spec %r" % (family, spec))
-    kv = {}
-    for item in tail.split(",") if tail.strip() else []:
-        key, eq, val = item.partition("=")
-        key = key.strip().lower()
-        if not eq or not key:
-            raise SpecParseError("malformed parameter %r in family spec %r"
-                                 % (item, spec))
-        try:
-            kv[key] = float(val)
-        except ValueError:
-            raise SpecParseError("non-numeric value %r in family spec %r"
-                                 % (val.strip(), spec)) from None
+    family, kv = _parse_spec(spec, "family", FAMILIES)
     try:
-        if family == "binom":
-            model = NefModel(family="binom", n=int(kv.pop("n")),
-                             a=(kv.pop("a"),), b=kv.pop("b"))
-            if kv:
-                raise SpecParseError("unexpected parameter(s) %s in family "
-                                     "spec %r" % (", ".join(sorted(kv)), spec))
-            return model
-        if family == "poisson":
-            model = NefModel(family="poisson", a=(kv.pop("a"),), p=kv.pop("p"))
-            if kv:
-                raise SpecParseError("unexpected parameter(s) %s in family "
-                                     "spec %r" % (", ".join(sorted(kv)), spec))
-            return model
-        n = int(kv.pop("n"))
-        shapes = []
-        i = 1
-        while ("a%d" % i) in kv:
-            shapes.append(kv.pop("a%d" % i))
-            i += 1
-        if kv:
-            raise SpecParseError("unexpected parameter(s) %s in family spec %r"
-                                 % (", ".join(sorted(kv)), spec))
-        return NefModel(family="multinom", n=n, a=tuple(shapes))
+        n = None if family == "poisson" else int(kv.pop("n"))
+        if family == "multinom":
+            shapes = []
+            while ("a%d" % (len(shapes) + 1)) in kv:
+                shapes.append(kv.pop("a%d" % (len(shapes) + 1)))
+        else:
+            shapes = [kv.pop("a")]
+        b = kv.pop("b") if family == "binom" else None
+        p = kv.pop("p") if family == "poisson" else None
     except KeyError as exc:
         raise SpecParseError("missing parameter %s in family spec %r"
                              % (exc, spec)) from None
+    if kv:
+        raise SpecParseError("unexpected parameter(s) %s in family spec %r"
+                             % (", ".join(sorted(kv)), spec))
+    return NefModel(family=family, n=n, a=tuple(shapes), b=b, p=p)

@@ -189,6 +189,32 @@ class PriorModel:
         return self.kind
 
 
+def _parse_spec(spec, what, heads):
+    """Split a "head:key=value,..." spec into its head, lower-cased and
+    checked against `heads`, and a dict of float values by lower-cased key;
+    `what` names the spec in error messages."""
+    if not isinstance(spec, str) or not spec.strip():
+        raise SpecParseError("empty %s spec" % what)
+    head, _, tail = spec.strip().partition(":")
+    head = head.strip().lower()
+    if head not in heads:
+        raise SpecParseError("unknown %s %r in spec %r (choose from %s)"
+                             % (what, head, spec, ", ".join(heads)))
+    kv = {}
+    for item in tail.split(",") if tail.strip() else []:
+        key, eq, val = item.partition("=")
+        key = key.strip().lower()
+        if not eq or not key:
+            raise SpecParseError("malformed parameter %r in %s spec %r"
+                                 % (item, what, spec))
+        try:
+            kv[key] = float(val)
+        except ValueError:
+            raise SpecParseError("non-numeric value %r for %r in %s spec %r"
+                                 % (val.strip(), key, what, spec)) from None
+    return head, kv
+
+
 def parse_prior(spec, sigma=1.0):
     """Build a PriorModel from a plain-text spec string.
 
@@ -196,26 +222,7 @@ def parse_prior(spec, sigma=1.0):
     "gaussian:tau=1", "gaussian" (tau tied to sigma), "flat+atom:gamma=0.1".
     An optional "loc=<value>" entry shifts the prior location.
     """
-    if not isinstance(spec, str) or not spec.strip():
-        raise SpecParseError("empty prior spec")
-    head, _, tail = spec.strip().partition(":")
-    kind = head.strip().lower()
-    if kind not in KINDS:
-        raise SpecParseError("unknown prior kind %r in spec %r (choose from %s)"
-                             % (kind, spec, ", ".join(KINDS)))
-    kv = {}
-    if tail.strip():
-        for item in tail.split(","):
-            key, eq, val = item.partition("=")
-            key = key.strip().lower()
-            if not eq or not key:
-                raise SpecParseError("malformed parameter %r in prior spec %r"
-                                     % (item, spec))
-            try:
-                kv[key] = float(val)
-            except ValueError:
-                raise SpecParseError("non-numeric value %r for %r in prior spec %r"
-                                     % (val.strip(), key, spec)) from None
+    kind, kv = _parse_spec(spec, "prior", KINDS)
     allowed = {"flat": set(), "flat+atom": {"gamma"}, "gaussian": {"tau"},
                "bp": {"a", "b"}, "horseshoe": set(), "gpd": set(),
                "bessel": set(), "laplace": {"kappa"}}[kind] | {"loc"}

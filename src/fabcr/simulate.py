@@ -14,7 +14,6 @@ own normal quantile.
 """
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Tuple
@@ -22,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from fabcr import _core
-from fabcr.errors import DomainError, SpecParseError
+from fabcr.errors import DomainError, SpecParseError, check_alpha
 from fabcr.regression import all_marginal_regions, fit_regression
 
 _AR_RHO = 0.5
@@ -45,8 +44,7 @@ class ExperimentConfig:
             raise DomainError("reps must be >= 1")
         if not self.log_sigma_beta_grid or not self.priors:
             raise DomainError("grids must be non-empty")
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError("alpha must be in (0,1)")
+        check_alpha(self.alpha)
         if self.sigma_y2 <= 0:
             raise DomainError("sigma_y2 must be positive")
 
@@ -169,11 +167,9 @@ def _rep_task(args):
     return grid_idx, rep, _run_rep(cfg, grid_idx, rep)
 
 
-def run_experiment(config: ExperimentConfig, threads=None):
+def run_experiment(config: ExperimentConfig, threads=1):
     """Run all replications; deterministic given config regardless of the
-    number of worker processes (FABCR_THREADS or `threads`)."""
-    if threads is None:
-        threads = int(os.environ.get("FABCR_THREADS", "1") or "1")
+    number of worker processes `threads`."""
     tasks = [(config, gi, r)
              for gi in range(len(config.log_sigma_beta_grid))
              for r in range(config.reps)]

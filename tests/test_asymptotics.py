@@ -148,6 +148,12 @@ def test_limit_interval_bad_args():
         limit_interval(m, 0.1, direction="up")
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_limit_interval_rejects_non_finite_sigma(sigma):
+    with pytest.raises(DomainError):
+        limit_interval(parse_prior("horseshoe"), 0.1, sigma=sigma)
+
+
 # -- agreement with directly computed regions -------------------------------
 
 

@@ -1,10 +1,12 @@
-"""Every region_mix pool op of the benchmark matches its frozen reference.
+"""Benchmark pool ops match their frozen references.
 
 The benchmark (`perfbench/`) fails a run whose outputs leave the tolerances
-of `perfbench/check.py` around `perfbench/reference/region_mix.json`. This
-test runs the same check on the whole region_mix pool (832 ops: regions
-over every prior kind, band and alpha, p-value curves and limit intervals),
-so a change that moves a Gaussian output that far fails here first.
+of `perfbench/check.py` around `perfbench/reference/<workload>.json`. These
+tests run the same check on the whole region_mix pool (832 ops: regions
+over every prior kind, band and alpha, p-value curves and limit intervals)
+and on the nef_mix groups whose check is exact (Sterne binomials at n = 8
+and small multinomials, whose cell sets must match exactly), so a change
+that moves such an output fails here first.
 """
 
 import json
@@ -18,12 +20,13 @@ import check  # noqa: E402
 import workloads as W  # noqa: E402
 
 
-def test_region_mix_pool_matches_references():
+def _check_pool(workload, keep):
+    """Run the pool ops of `workload` that `keep` selects through the
+    benchmark's check; returns (ops run, reference count)."""
     with open(os.path.join(ROOT, "perfbench", "reference",
-                           "region_mix.json")) as fh:
+                           workload + ".json")) as fh:
         refs = json.load(fh)
-    ops = [op for op in W.pool("region_mix").values() if op["cat"] != W.PROBE]
-    assert len(ops) == len(refs) == 832
+    ops = [op for op in W.pool(workload).values() if keep(op)]
     bad = {}
     for op in ops:
         assert op["id"] in refs, op["id"]
@@ -31,3 +34,18 @@ def test_region_mix_pool_matches_references():
         if problems:
             bad[op["id"]] = problems
     assert not bad, bad
+    return len(ops), len(refs)
+
+
+def test_region_mix_pool_matches_references():
+    ran, nrefs = _check_pool("region_mix", lambda op: op["cat"] != W.PROBE)
+    assert ran == nrefs == 832
+
+
+def test_nef_mix_exact_groups_match_references():
+    # multinomial cell masses are grid rationals, so the cumulative mass can
+    # land exactly on 1 - alpha: an ULP-level change in the log-pmf
+    # arithmetic flips cell membership, and only this exact check sees it
+    groups = ("binom8_sterne", "multinom3_n3", "multinom4_n1")
+    ran, _ = _check_pool("nef_mix", lambda op: op.get("group") in groups)
+    assert ran == 17

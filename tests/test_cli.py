@@ -81,6 +81,13 @@ def test_region_usage_errors(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("y", ["nan", "inf"])
+def test_region_pvalue_grid_non_finite_y(runner, y):
+    res = runner.invoke(main, ["region", "--prior", "horseshoe", "--y", y,
+                               "--alpha", "0.1", "--pvalue-grid", "0:1:0.5"])
+    assert res.exit_code == 2
+
+
 # -- nef --------------------------------------------------------------------
 
 

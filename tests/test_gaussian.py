@@ -123,6 +123,18 @@ def test_alpha_domain():
         confidence_region(m, float("inf"), 0.1)
 
 
+@pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+def test_acceptance_interval_rejects_non_finite_theta0(theta0):
+    with pytest.raises(DomainError, match="theta0"):
+        acceptance_interval(parse_prior("horseshoe"), theta0, 0.1)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf])
+def test_scan_step_must_be_finite_and_positive(step):
+    with pytest.raises(DomainError, match="scan_step"):
+        confidence_region(parse_prior("horseshoe"), 1.0, 0.1, scan_step=step)
+
+
 # -- confidence regions -----------------------------------------------------
 
 
@@ -248,6 +260,19 @@ def test_p_value_peaks_at_focal():
     curve = p_value_curve(m, 1.0, [focal - 0.4, focal, focal + 0.4])
     assert curve.pvals[1] >= 1.0 - 1e-4
     assert curve.pvals[1] >= max(curve.pvals[0], curve.pvals[2])
+
+
+@pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+def test_p_value_curve_rejects_non_finite_y(y):
+    # the membership tests compare against y and would report all zeros
+    with pytest.raises(DomainError):
+        p_value_curve(parse_prior("horseshoe"), y, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("theta0", [math.nan, math.inf])
+def test_p_value_curve_rejects_non_finite_grid(theta0):
+    with pytest.raises(DomainError, match="theta0"):
+        p_value_curve(parse_prior("horseshoe"), 0.0, [0.0, theta0])
 
 
 def test_p_value_far_null_is_zero():

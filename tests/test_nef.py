@@ -7,6 +7,8 @@ set kept when outcomes are ranked by the marginal-to-null likelihood ratio.
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from fabcr.errors import DomainError, NumericalError, SpecParseError
@@ -37,6 +39,22 @@ def test_parse_family():
 def test_parse_family_rejects(bad):
     with pytest.raises((SpecParseError, DomainError)):
         parse_family(bad)
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_TRIALS = st.integers(min_value=1, max_value=10 ** 9)
+
+
+@given(st.one_of(
+    st.builds(lambda n, a, b: NefModel(family="binom", n=n, a=(a,), b=b),
+              _TRIALS, _POSITIVE, _POSITIVE),
+    st.builds(lambda a, p: NefModel(family="poisson", a=(a,), p=p),
+              _POSITIVE, st.floats(min_value=0.0, max_value=1.0,
+                                   exclude_min=True, exclude_max=True)),
+    st.builds(lambda n, a: NefModel(family="multinom", n=n, a=tuple(a)),
+              _TRIALS, st.lists(_POSITIVE, min_size=2, max_size=4))))
+def test_parse_family_spec_string_roundtrip(m):
+    assert parse_family(m.spec_string()) == m
 
 
 def test_model_validation():
@@ -247,7 +265,7 @@ def test_poisson_truncation_invariance():
     base = parse_family("poisson:a=1,p=0.5")
 
     class WideSupport(NefModel):
-        def support(self, eta=None, mass=1.0 - 1e-12):
+        def support(self, eta=None):
             return list(range(2 * len(NefModel.support(self, eta=eta))))
 
     wide = WideSupport(family="poisson", a=(1.0,), p=0.5)
@@ -322,6 +340,20 @@ def test_poisson_region_at_zero(spec, alpha):
         want = _oracle_members(stats.poisson(theta).pmf,
                                stats.nbinom(a, p).pmf, range(40), alpha)
         assert 0 in want and reg.contains(theta), theta
+
+
+@pytest.mark.parametrize("alpha", [0.98, 0.99, 0.995])
+def test_poisson_region_at_zero_below_the_default_window(alpha):
+    # 1 sorts before 0 at theta = 1/60 and the estimator is ~1e-44: the
+    # whole region lies below (y + 1)/60, so the window must start lower
+    m = parse_family("poisson:a=0.01,p=0.5")
+    reg = confidence_region_nef(m, 0, alpha, grid=1e-2)
+    assert reg.intervals[0][0] == 0.0 and reg.estimator_member
+    hi = reg.intervals[-1][1]
+    for theta in (1e-9, 1e-6, hi / 2, 0.95 * hi, 1.05 * hi, 2 * hi, 1.0):
+        want = _oracle_members(stats.poisson(theta).pmf,
+                               stats.nbinom(0.01, 0.5).pmf, range(25), alpha)
+        assert reg.contains(theta) == (0 in want), theta
 
 
 def test_poisson_region_large_count():

@@ -4,8 +4,11 @@ Frozen reference values were computed with mpmath at 30+ digits.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import BP_SPECIAL, CATALOG_SPECS, quad_log_marginal
 from fabcr.errors import DomainError, SpecParseError
@@ -32,6 +35,22 @@ def test_spec_string_roundtrip(spec):
     m = parse_prior(spec, sigma=1.3)
     again = parse_prior(m.spec_string(), sigma=1.3)
     assert again == m
+
+
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@given(st.one_of(
+    st.builds(PriorModel, kind=st.sampled_from(
+        ("flat", "gaussian", "horseshoe", "gpd", "bessel"))),
+    st.builds(PriorModel, kind=st.just("gaussian"), tau=_POSITIVE),
+    st.builds(PriorModel, kind=st.just("bp"), a=_POSITIVE, b=_POSITIVE),
+    st.builds(PriorModel, kind=st.just("laplace"), kappa=_POSITIVE),
+    st.builds(PriorModel, kind=st.just("flat+atom"), gamma=_POSITIVE)),
+    _POSITIVE, st.floats(allow_nan=False, allow_infinity=False))
+def test_spec_string_roundtrip_random_parameters(m, sigma, loc):
+    m = replace(m, sigma=sigma, loc=loc)
+    assert parse_prior(m.spec_string(), sigma) == m
 
 
 @pytest.mark.parametrize("bad", [
