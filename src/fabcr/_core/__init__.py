@@ -13,14 +13,11 @@ from ._kernels_py import (
     KIND_GPD,
     KIND_HORSESHOE,
     KIND_LAPLACE,
-    bessel_i0,
     bessel_i0e,
-    bessel_i1,
     bessel_i1e,
     dawson,
     digamma,
     dlog_marginal,
-    kummer_1f1,
     log_beta,
     log_gamma,
     log_kummer_1f1_neg,

@@ -5,8 +5,8 @@ prior catalog, and the spending weight solve. The package reaches them
 through the re-exports in ``fabcr._core``.
 
 All functions are pure and operate on Python floats. Argument validation
-(domain errors for callers) lives in the public wrapper modules; kernels
-assume finite inputs unless stated otherwise.
+(domain errors for callers) lives in the public modules that call them;
+kernels assume finite inputs inside their domains.
 """
 
 import math
@@ -101,7 +101,7 @@ def norm_quantile(p):
 
 
 # ---------------------------------------------------------------------------
-# Kummer 1F1
+# log Kummer 1F1 at negative argument
 # ---------------------------------------------------------------------------
 
 _KUMMER_TAYLOR_CUTOFF = 45.0
@@ -116,61 +116,6 @@ def _kummer_taylor(a, b, z):
         if abs(term) < 1e-17 * abs(s):
             return s
     return s
-
-
-def _kummer_asymp_neg(a, b, z):
-    """1F1(a, b, z) for z << 0 via the (b-a) asymptotic after the Kummer
-    transform: Gamma(b)/Gamma(b-a) * x^(-a) * sum_k (a)_k (a-b+1)_k / (k! x^k),
-    with x = -z."""
-    x = -z
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(200):
-        term *= (a + k) * (a - b + 1.0 + k) / ((k + 1.0) * x)
-        if abs(term) >= prev:
-            break
-        s += term
-        prev = abs(term)
-        if abs(term) < 1e-17 * abs(s):
-            break
-    lg = math.lgamma(b) - math.lgamma(b - a) - a * math.log(x)
-    return math.exp(lg) * s if s > 0 else -math.exp(lg) * (-s)
-
-
-def _kummer_asymp_pos(a, b, z):
-    """1F1(a, b, z) for z >> 0: Gamma(b)/Gamma(a) e^z z^(a-b) * series."""
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(200):
-        term *= (b - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
-        if abs(term) >= prev:
-            break
-        s += term
-        prev = abs(term)
-        if abs(term) < 1e-17 * abs(s):
-            break
-    lg = math.lgamma(b) - math.lgamma(a) + z + (a - b) * math.log(z)
-    if lg > 709.0:
-        raise OverflowError("kummer_1f1 overflow: a=%g b=%g z=%g" % (a, b, z))
-    return math.exp(lg) * s
-
-
-def kummer_1f1(a, b, z):
-    """Confluent hypergeometric 1F1(a, b, z); intended domain b > 0 with
-    z <= 0 (what the beta-prime marginals need), z > 0 supported where the
-    direct series or asymptotic expansion applies."""
-    if z == 0.0:
-        return 1.0
-    if abs(z) <= _KUMMER_TAYLOR_CUTOFF:
-        if z > 0.0 or b - a <= 0.0:
-            return _kummer_taylor(a, b, z)
-        # transformed series has positive terms: no cancellation for z < 0
-        return math.exp(z) * _kummer_taylor(b - a, b, -z)
-    if z < 0.0:
-        return _kummer_asymp_neg(a, b, z)
-    return _kummer_asymp_pos(a, b, z)
 
 
 def log_kummer_1f1_neg(a, b, z):
@@ -248,7 +193,7 @@ def dawson(x):
 
 
 # ---------------------------------------------------------------------------
-# modified Bessel I0, I1 (exponentially scaled variants are primary)
+# exponentially scaled modified Bessel I0, I1
 # ---------------------------------------------------------------------------
 
 _BESSEL_SERIES_CUTOFF = 18.0
@@ -309,22 +254,6 @@ def bessel_i1e(z):
     if z <= _BESSEL_SERIES_CUTOFF:
         return math.exp(-z) * _i1_series(z)
     return _iv_asymp_scaled(z, 1.0)
-
-
-def bessel_i0(z):
-    if z <= _BESSEL_SERIES_CUTOFF:
-        return _i0_series(z)
-    if z > 705.0:
-        raise OverflowError("bessel_i0 overflow: z=%g" % z)
-    return math.exp(z) * _iv_asymp_scaled(z, 0.0)
-
-
-def bessel_i1(z):
-    if z <= _BESSEL_SERIES_CUTOFF:
-        return _i1_series(z)
-    if z > 705.0:
-        raise OverflowError("bessel_i1 overflow: z=%g" % z)
-    return math.exp(z) * _iv_asymp_scaled(z, 1.0)
 
 
 # ---------------------------------------------------------------------------

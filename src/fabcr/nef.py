@@ -40,6 +40,10 @@ def _compositions(total, k, least):
     return [h + (total - sum(h),) for h in heads]
 
 
+def _positive(x):
+    return math.isfinite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class NefModel:
     family: str
@@ -55,20 +59,20 @@ class NefModel:
         if self.family == "binom":
             if self.n is None or self.n < 1:
                 raise DomainError("binom: n must be >= 1, got %r" % (self.n,))
-            if self.a is None or len(self.a) != 1 or self.a[0] <= 0:
-                raise DomainError("binom: shape a must be positive")
-            if self.b is None or self.b <= 0:
-                raise DomainError("binom: shape b must be positive")
+            if self.a is None or len(self.a) != 1 or not _positive(self.a[0]):
+                raise DomainError("binom: shape a must be finite and positive")
+            if self.b is None or not _positive(self.b):
+                raise DomainError("binom: shape b must be finite and positive")
         elif self.family == "poisson":
-            if self.a is None or len(self.a) != 1 or self.a[0] <= 0:
-                raise DomainError("poisson: shape a must be positive")
+            if self.a is None or len(self.a) != 1 or not _positive(self.a[0]):
+                raise DomainError("poisson: shape a must be finite and positive")
             if self.p is None or not (0.0 < self.p < 1.0):
                 raise DomainError("poisson: p must be in (0,1), got %r" % (self.p,))
         else:
             if self.n is None or self.n < 1:
                 raise DomainError("multinom: n must be >= 1, got %r" % (self.n,))
-            if self.a is None or len(self.a) < 2 or any(x <= 0 for x in self.a):
-                raise DomainError("multinom: need k >= 2 positive shapes")
+            if self.a is None or len(self.a) < 2 or not all(map(_positive, self.a)):
+                raise DomainError("multinom: need k >= 2 finite positive shapes")
             if len(self.a) > 4:
                 raise DomainError("multinom: k <= 4 supported (exhaustive "
                                   "support enumeration), got k=%d" % len(self.a))
@@ -458,7 +462,7 @@ def parse_family(spec):
     "poisson:a=1,p=0.5", "multinom:n=15,a1=1,a2=1,a3=1"."""
     family, kv = _parse_spec(spec, "family", FAMILIES)
     try:
-        n = None if family == "poisson" else int(kv.pop("n"))
+        n = None if family == "poisson" else kv.pop("n")
         if family == "multinom":
             shapes = []
             while ("a%d" % (len(shapes) + 1)) in kv:
@@ -473,4 +477,9 @@ def parse_family(spec):
     if kv:
         raise SpecParseError("unexpected parameter(s) %s in family spec %r"
                              % (", ".join(sorted(kv)), spec))
+    if n is not None:
+        if not n.is_integer():
+            raise SpecParseError("n must be a whole number, got %r in family "
+                                 "spec %r" % (n, spec))
+        n = int(n)
     return NefModel(family=family, n=n, a=tuple(shapes), b=b, p=p)

@@ -34,7 +34,7 @@ from typing import Optional
 from fabcr import _core
 from fabcr.errors import DomainError, SpecParseError
 
-_SQRTPI = math.sqrt(math.pi)
+_LOG_SQRTPI = 0.5 * math.log(math.pi)
 
 KINDS = ("flat", "flat+atom", "gaussian", "bp", "horseshoe", "gpd", "bessel",
          "laplace")
@@ -88,9 +88,9 @@ class PriorModel:
         elif self.kind == "bp":
             if self.a is None or self.b is None:
                 raise SpecParseError("bp prior requires shapes a and b")
-            if not (self.a > 0 and self.b > 0):
-                raise DomainError("bp prior: shapes must be positive, got a=%r b=%r"
-                                  % (self.a, self.b))
+            if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b)):
+                raise DomainError("bp prior: shapes must be finite and positive, "
+                                  "got a=%r b=%r" % (self.a, self.b))
         elif self.kind == "laplace":
             if self.kappa is None or not (math.isfinite(self.kappa) and self.kappa > 0):
                 raise DomainError("laplace prior: kappa must be positive, got %r"
@@ -108,6 +108,12 @@ class PriorModel:
         if self.kind == "gaussian":
             return code, (self.sigma if self.tau is None else self.tau), 0.0, self.sigma
         if self.kind == "bp":
+            # the kernels evaluate 1F1(a + s, a + b + s, .) at s = 1/2 and
+            # 3/2, which needs b to survive as (a + b + s) - (a + s)
+            if self.b <= 2.0 * math.ulp(self.a + 1.5):
+                raise DomainError("bp prior: b=%r is below the double "
+                                  "precision resolution of a=%r"
+                                  % (self.b, self.a))
             return code, self.a, self.b, self.sigma
         if self.kind == "laplace":
             return code, self.kappa, 0.0, self.sigma
@@ -160,8 +166,13 @@ class PriorModel:
             return TailProfile(kappa=k, delta=0.0,
                                gamma=k / (2.0 * self.sigma) * math.exp(0.5 * k * k))
         a, b = _BP_ALIAS.get(self.kind, (self.a, self.b))
-        g = (math.gamma(a + 0.5) * (2.0 * self.sigma ** 2) ** a
-             / (_SQRTPI * math.exp(_core.log_beta(a, b))))
+        log_g = (math.lgamma(a + 0.5) + a * math.log(2.0 * self.sigma ** 2)
+                 - _LOG_SQRTPI - _core.log_beta(a, b))
+        try:
+            g = math.exp(log_g)
+        except OverflowError:
+            # large a; the region search and the limits read only kappa
+            g = math.inf
         return TailProfile(kappa=0.0, delta=2.0 * a + 1.0, gamma=g)
 
     def with_sigma(self, sigma):

@@ -148,6 +148,23 @@ def test_nef_bad_grid(runner):
         assert "grid" in res.output
 
 
+def test_nef_non_integral_n(runner):
+    res = runner.invoke(main, ["nef", "--family", "binom:n=2.5,a=1,b=1",
+                               "--y", "1", "--alpha", "0.1"])
+    assert res.exit_code == 2, res.output
+    assert "whole number" in res.output
+
+
+def test_region_large_beta_prime_shape(runner):
+    # Gamma(a + 1/2) overflows a double here; the region needs only kappa
+    res = runner.invoke(main, ["region", "--prior", "bp:a=200,b=1",
+                               "--y", "1", "--alpha", "0.1"])
+    assert res.exit_code == 0, res.output
+    d = json.loads(res.output)
+    (lo, hi), = d["intervals"]
+    assert lo <= d["focal"] <= hi
+
+
 def test_nef_out_of_range_y(runner):
     res = runner.invoke(main, ["nef", "--family", "binom:n=8,a=1,b=1",
                                "--y", "9", "--alpha", "0.1"])

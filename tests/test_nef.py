@@ -14,7 +14,7 @@ from scipy import stats
 from fabcr.errors import DomainError, NumericalError, SpecParseError
 from fabcr.nef import (NefModel, acceptance_set, confidence_region_nef,
                        parse_family, theta_grid)
-from fabcr import specfun
+from fabcr import _core
 
 EULER = 0.57721566490153286061
 
@@ -57,6 +57,23 @@ def test_parse_family_spec_string_roundtrip(m):
     assert parse_family(m.spec_string()) == m
 
 
+@pytest.mark.parametrize("spec", [
+    "binom:n=nan,a=1,b=1", "binom:n=inf,a=1,b=1", "binom:n=2.5,a=1,b=1",
+    "multinom:n=2.5,a1=1,a2=1,a3=1",
+])
+def test_parse_family_rejects_non_integral_n(spec):
+    with pytest.raises(SpecParseError, match="whole number"):
+        parse_family(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    "poisson:a=inf,p=0.5", "binom:n=8,a=inf,b=1", "binom:n=8,a=1,b=nan",
+])
+def test_parse_family_rejects_non_finite_shapes(spec):
+    with pytest.raises(DomainError, match="finite"):
+        parse_family(spec)
+
+
 def test_model_validation():
     with pytest.raises(DomainError):
         NefModel(family="binom", n=0, a=(1.0,), b=1.0)
@@ -92,8 +109,8 @@ def test_poisson_lambda_values():
 
 def test_multinom_lambda_values():
     m = parse_family("multinom:n=15,a1=1,a2=1,a3=1")
-    want = (specfun.log_gamma(3.0) - specfun.log_gamma(18.0)
-            + sum(specfun.log_gamma(1.0 + v) for v in (5, 5, 5)))
+    want = (_core.log_gamma(3.0) - _core.log_gamma(18.0)
+            + sum(_core.log_gamma(1.0 + v) for v in (5, 5, 5)))
     assert abs(m.lam((5, 5, 5)) - want) < 1e-12
 
 

@@ -11,9 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import BP_SPECIAL, CATALOG_SPECS, quad_log_marginal
+from fabcr.asymptotics import limit_interval
 from fabcr.errors import DomainError, SpecParseError
+from fabcr.gaussian import confidence_region
 from fabcr.priors import PriorModel, parse_prior
 
+Z90 = 1.6448536269514722
 Y_GRID = (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
 
 
@@ -74,6 +77,34 @@ def test_constructor_domain_checks():
         PriorModel(kind="gaussian", tau=-2.0)
     with pytest.raises(DomainError):
         PriorModel(kind="flat+atom")
+
+
+@pytest.mark.parametrize("spec", ["bp:a=inf,b=1", "bp:a=1,b=inf"])
+def test_bp_shapes_must_be_finite(spec):
+    with pytest.raises(DomainError, match="finite"):
+        parse_prior(spec)
+
+
+def test_bp_shapes_double_precision_cannot_resolve():
+    # b = 1 is below the spacing of doubles near a = 1e16
+    m = parse_prior("bp:a=1e16,b=1")
+    with pytest.raises(DomainError, match="resolution"):
+        confidence_region(m, 1.0, 0.1)
+    with pytest.raises(DomainError, match="resolution"):
+        m.posterior_mean(1.0)
+
+
+@pytest.mark.parametrize("spec", ["bp:a=200,b=1", "bp:a=1e4,b=1"])
+def test_bp_large_a(spec):
+    # Gamma(a + 1/2) overflows a double; kappa = 0 is all the search and
+    # the limits need
+    m = parse_prior(spec)
+    prof = m.tail_profile()
+    assert prof.kappa == 0.0 and prof.gamma == math.inf
+    region = confidence_region(m, 1.0, 0.1)
+    assert region.contains(region.focal)
+    li = limit_interval(m, 0.1)
+    assert abs((li.hi_offset - li.lo_offset) - 2 * Z90) < 1e-12
 
 
 # -- marginals --------------------------------------------------------------

@@ -1,0 +1,94 @@
+"""The paper's invariants of the Gaussian-mean regions, as properties over
+the prior catalog.
+
+Observations stay within 6 sigma of the prior location, short of where a
+nearly degenerate spending weight makes the Gaussian and Laplace endpoints
+noisy at the 1e-6 level (see the README). Runs are derandomized and small:
+every example costs a few region solves.
+"""
+
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import CATALOG_SPECS
+from fabcr.asymptotics import limit_interval
+from fabcr.gaussian import confidence_region
+from fabcr.priors import parse_prior
+
+TOL = 1e-6
+
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+
+_SIGMA = st.sampled_from((0.5, 1.0, 2.0))
+_ALPHA = st.floats(min_value=0.01, max_value=0.5)
+_OFFSET = st.floats(min_value=-6.0, max_value=6.0)  # (y - loc) / sigma
+_LOC = st.floats(min_value=-100.0, max_value=100.0)
+
+
+@st.composite
+def _models(draw, specs=CATALOG_SPECS, located=True):
+    m = parse_prior(draw(st.sampled_from(specs)), sigma=draw(_SIGMA))
+    return replace(m, loc=draw(_LOC)) if located else m
+
+
+def _close(a, b):
+    return abs(a - b) <= TOL
+
+
+@_PROPERTY
+@given(_models(located=False), _LOC, _OFFSET, _ALPHA)
+def test_location_equivariance(m, loc, offset, alpha):
+    d = offset * m.sigma
+    base = confidence_region(m, d, alpha)
+    shifted = confidence_region(replace(m, loc=loc), loc + d, alpha)
+    assert len(shifted.intervals) == len(base.intervals)
+    for (lo, hi), (slo, shi) in zip(base.intervals, shifted.intervals):
+        assert _close(slo, lo + loc) and _close(shi, hi + loc)
+
+
+@_PROPERTY
+@given(_models(), _OFFSET, _ALPHA)
+def test_mirror_symmetry(m, offset, alpha):
+    # every catalog prior is symmetric about its location
+    d = offset * m.sigma
+    right = confidence_region(m, m.loc + d, alpha)
+    left = confidence_region(m, m.loc - d, alpha)
+    mirrored = [(2 * m.loc - hi, 2 * m.loc - lo) for lo, hi in right.intervals]
+    assert len(left.intervals) == len(mirrored)
+    for (lo, hi), (mlo, mhi) in zip(left.intervals, reversed(mirrored)):
+        assert _close(lo, mlo) and _close(hi, mhi)
+
+
+@_PROPERTY
+@given(_models(), _OFFSET, _ALPHA, _ALPHA)
+def test_nested_in_alpha(m, offset, alpha1, alpha2):
+    y = m.loc + offset * m.sigma
+    small = confidence_region(m, y, max(alpha1, alpha2))
+    large = confidence_region(m, y, min(alpha1, alpha2))
+    for lo, hi in small.intervals:
+        assert large.lo <= lo + TOL and hi <= large.hi + TOL
+
+
+@_PROPERTY
+@given(_models(), _OFFSET, _ALPHA)
+def test_focal_containment(m, offset, alpha):
+    region = confidence_region(m, m.loc + offset * m.sigma, alpha)
+    assert region.contains(region.focal)
+
+
+_POWER_TAIL_SPECS = ("horseshoe", "gpd", "bessel", "bp:a=1.5,b=2")
+
+
+@_PROPERTY
+@given(_models(_POWER_TAIL_SPECS),
+       st.floats(min_value=1e3, max_value=1e5), st.booleans(), _ALPHA)
+def test_power_tail_width_settles_to_limit(m, distance, below, alpha):
+    # bounded influence: far from the location the region is the limit
+    # interval around y, however far y is
+    y = m.loc + (-distance if below else distance) * m.sigma
+    li = limit_interval(m, alpha, direction="-inf" if below else "+inf")
+    region = confidence_region(m, y, alpha)
+    assert abs((region.lo - y) - li.lo_offset) < 0.05 * m.sigma
+    assert abs((region.hi - y) - li.hi_offset) < 0.05 * m.sigma
