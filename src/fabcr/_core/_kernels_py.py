@@ -105,38 +105,60 @@ def norm_quantile(p):
 # ---------------------------------------------------------------------------
 
 _KUMMER_TAYLOR_CUTOFF = 45.0
+_KUMMER_RESCALE = 1e280
+_LOG_KUMMER_RESCALE = math.log(_KUMMER_RESCALE)
+_KUMMER_LOG_DROP = math.log(1e-12)
 
 
-def _kummer_taylor(a, b, z):
+def _log_kummer_taylor(a, b, x):
+    """log 1F1(a, b, x) for x >= 0 and a, b > 0 from the Taylor series. Its
+    terms are all positive and peak before k = x; the sum is rescaled as it
+    grows so that it cannot overflow."""
     term = 1.0
     s = 1.0
-    for k in range(2000):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
+    log_scale = 0.0
+    for k in range(2000 + 4 * int(x)):
+        term *= (a + k) * x / ((b + k) * (k + 1.0))
         s += term
-        if abs(term) < 1e-17 * abs(s):
-            return s
-    return s
+        if s > _KUMMER_RESCALE:
+            s /= _KUMMER_RESCALE
+            term /= _KUMMER_RESCALE
+            log_scale += _LOG_KUMMER_RESCALE
+        if term < 1e-17 * s:
+            break
+    return log_scale + math.log(s)
 
 
 def log_kummer_1f1_neg(a, b, z):
     """log 1F1(a, b, z) for z <= 0, b > a > 0 (positive value guaranteed)."""
     if z == 0.0:
         return 0.0
-    if -z <= _KUMMER_TAYLOR_CUTOFF:
-        return z + math.log(_kummer_taylor(b - a, b, -z))
     x = -z
-    s = 1.0
-    term = 1.0
-    prev = math.inf
-    for k in range(200):
-        term *= (a + k) * (a - b + 1.0 + k) / ((k + 1.0) * x)
-        if abs(term) >= prev:
-            break
-        s += term
-        prev = abs(term)
-        if abs(term) < 1e-17 * abs(s):
-            break
-    return math.lgamma(b) - math.lgamma(b - a) - a * math.log(x) + math.log(s)
+    if not x < math.inf:
+        return z  # log 1F1(a, b, -inf) = -inf; a nan passes through
+    # For large x, 1F1(a, b, -x) = Gamma(b)/Gamma(b-a) x^-a S1
+    #   + Gamma(b)/Gamma(a) e^-x x^(a-b) S2
+    # with asymptotic series S1, S2 = 1 + O(1/x). Only S1 is summed, so it is
+    # used only where S2 = O(1), the dropped part is below 1e-12 of the kept
+    # one, and the terms of S1 fall below 1e-17 of its sum before they start
+    # to grow.
+    if x > _KUMMER_TAYLOR_CUTOFF and (b - a) * abs(1.0 - a) < x and (
+            math.lgamma(b - a) - math.lgamma(a) - x
+            + (2.0 * a - b) * math.log(x) < _KUMMER_LOG_DROP):
+        s = 1.0
+        term = 1.0
+        prev = math.inf
+        for k in range(200):
+            term *= (a + k) * (a - b + 1.0 + k) / ((k + 1.0) * x)
+            if abs(term) >= prev:
+                break
+            s += term
+            prev = abs(term)
+            if abs(term) < 1e-17 * abs(s):
+                return (math.lgamma(b) - math.lgamma(b - a) - a * math.log(x)
+                        + math.log(s))
+    # Kummer's transformation: 1F1(a, b, -x) = e^-x 1F1(b - a, b, x)
+    return z + _log_kummer_taylor(b - a, b, x)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,9 @@ def region(prior_spec, sigma, y, alpha, pvalue_grid):
         except ValueError:
             raise SpecParseError("--pvalue-grid expects LO:HI:STEP, got %r"
                                  % (pvalue_grid,))
+        if not all(map(math.isfinite, (lo, hi, step))):
+            raise SpecParseError("--pvalue-grid: LO, HI and STEP must be "
+                                 "finite, got %r" % (pvalue_grid,))
         if step <= 0 or hi < lo:
             raise SpecParseError("--pvalue-grid: need LO <= HI and STEP > 0")
         npts = int(math.floor((hi - lo) / step + 1e-9)) + 1

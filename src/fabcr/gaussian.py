@@ -161,9 +161,9 @@ def _solve(model: PriorModel, theta0, alpha):
 #
 # The acceptance set is {t : lam(t) <= k} with lam(t) = l(t) +
 # (t - theta0)^2 / (2 sigma^2), a strictly convex function whose minimiser
-# y* satisfies posterior_mean(y*) = theta0. Membership of y only needs the
-# null mass of the sublevel set at k = lam(y), which stays well-conditioned
-# when the tail weight underflows.
+# y* satisfies posterior_mean(y*) = theta0 (Pratt 1961). The null mass
+# outside the sublevel set at k = lam(y) is the p-value of theta0, which
+# stays well-conditioned when the tail weight underflows.
 
 def _lam(model, theta0, y):
     d = y - theta0
@@ -210,24 +210,27 @@ def _lam_root(model, theta0, level, start, direction):
     inner, outer = _march(below, start, direction, model.sigma,
                           theta0=theta0, level=level,
                           prior=model.spec_string())
-    return _bisect(below, inner, outer, 1e-11 * model.sigma)
+    return _bisect(below, inner, outer, 1e-12 * model.sigma)
 
 
-def _sublevel_mass(model, theta0, level, ystar):
+def _outside_mass(model, theta0, level, ystar):
+    """Null mass outside the sublevel set {t : lam(t) <= level}, the interval
+    [a, b] around the minimiser ystar; returns (mass, a, b)."""
     a = _lam_root(model, theta0, level, ystar, -1.0)
     b = _lam_root(model, theta0, level, ystar, +1.0)
     s = model.sigma
-    return (_core.norm_cdf((b - theta0) / s)
-            - _core.norm_cdf((a - theta0) / s)), a, b
+    return (_core.norm_cdf((a - theta0) / s)
+            + _core.norm_cdf((theta0 - b) / s)), a, b
 
 
-def _np_member(model, theta0, alpha, y):
+def _p_value(model, theta0, y):
+    """p(theta0) = P_theta0(lam(Y) >= lam(y)), the largest alpha whose
+    acceptance interval at theta0 holds y."""
     ystar = _lam_minimizer(model, theta0)
     level = _lam(model, theta0, y)
     if _lam(model, theta0, ystar) >= level:
-        return True  # y is (numerically) the minimiser itself
-    mass, _, _ = _sublevel_mass(model, theta0, level, ystar)
-    return mass <= 1.0 - alpha + 1e-12
+        return 1.0  # y is (numerically) the minimiser itself
+    return _outside_mass(model, theta0, level, ystar)[0]
 
 
 def _np_interval(model, theta0, alpha):
@@ -235,13 +238,13 @@ def _np_interval(model, theta0, alpha):
     ystar = _lam_minimizer(model, theta0)
 
     def short(k):
-        return _sublevel_mass(model, theta0, k, ystar)[0] < 1.0 - alpha
+        return _outside_mass(model, theta0, k, ystar)[0] > alpha
 
     lo_k, hi_k = _march(short, _lam(model, theta0, ystar), 1.0, 1.0,
                         theta0=theta0, alpha=alpha, prior=model.spec_string())
     # relative tolerance on the level, taken at the bracket end nearer zero
     k = _bisect(short, lo_k, hi_k, 1e-13 * max(1.0, min(abs(lo_k), abs(hi_k))))
-    _, a, b = _sublevel_mass(model, theta0, k, ystar)
+    _, a, b = _outside_mass(model, theta0, k, ystar)
     w = _core.norm_cdf((a - theta0) / model.sigma) / alpha
     return w, a, b
 
@@ -272,7 +275,7 @@ def _membership(model, theta0, alpha, y):
     try:
         _, lo, hi = _solve(model, theta0, alpha)
     except _DegenerateWeight:
-        return _np_member(model, theta0, alpha, y), None, None
+        return _p_value(model, theta0, y) >= alpha - 1e-12, None, None
     return lo <= y <= hi, lo, hi
 
 
@@ -372,24 +375,14 @@ def _scan_region(model, y, alpha, focal, cap, step):
 
 
 def p_value_curve(model: PriorModel, y, grid):
-    """p_y(theta0) = sup {alpha : theta0 in C_alpha(y)}, by bisection on
-    alpha (tolerance 1e-6) using direct membership tests. A non-finite y or
-    grid point raises DomainError."""
+    """p_y(theta0) = sup {alpha : theta0 in C_alpha(y)} on each grid point,
+    in closed form: the null mass outside the acceptance interval at theta0
+    whose boundary passes through y. A non-finite y or grid point raises
+    DomainError."""
     y = _finite("y", y)
     grid = tuple(_finite("theta0", t) for t in grid)
-    pvals = []
-    for theta0 in grid:
-        def member(alpha):
-            return _membership(model, theta0, alpha, y)[0]
-
-        a_lo, a_hi = 1e-9, 1.0 - 1e-9
-        if not member(a_lo):
-            pvals.append(0.0)
-        elif member(a_hi):
-            pvals.append(1.0)
-        else:
-            pvals.append(_bisect(member, a_lo, a_hi, 1e-6))
-    return PValueCurve(grid=grid, pvals=tuple(pvals), y=y)
+    return PValueCurve(grid=grid, pvals=tuple(_p_value(model, t, y)
+                                              for t in grid), y=y)
 
 
 def z_interval(y, sigma, alpha):

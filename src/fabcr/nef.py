@@ -416,10 +416,11 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     1e-4), the log-theta step for the Poisson (default 1e-3), and the simplex
     denominator for the multinomial (default 60, i.e. cells at multiples of
     1/60); see `theta_grid`. Returns the union of grid-connected components;
-    the estimator is checked for membership and flagged (never clamped) when
-    outside. A Poisson region that reaches the first grid point starts at
-    0.0 if y = 0 and 0 is accepted at every smaller theta; any other Poisson
-    region that reaches either end of the grid raises NumericalError.
+    the estimator is flagged a member when the acceptance set at the
+    estimator itself holds y (never judged or clamped on the grid). A Poisson
+    region that reaches the first grid point starts at 0.0 if y = 0 and 0 is
+    accepted at every smaller theta; any other Poisson region that reaches
+    either end of the grid raises NumericalError.
 
     An alpha outside (0,1), a y that is not an outcome of the family (see
     `NefModel.observation`), or an unusable grid (see `theta_grid`) raises
@@ -431,15 +432,10 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     eta_hat, theta_hat = model.fab_estimator(y)
     flags = [y in acceptance_set(model, model.eta_of_theta(t), alpha).members
              for t in thetas]
+    member = y in acceptance_set(model, eta_hat, alpha).members
 
     if model.family == "multinom":
         members = [t for t, m in zip(thetas, flags) if m]
-        member = False
-        # estimator membership judged at its nearest grid cell
-        if members:
-            nearest = min(thetas, key=lambda t: sum(
-                (a - b) ** 2 for a, b in zip(t, theta_hat)))
-            member = nearest in set(members)
         return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
                          estimator=theta_hat, estimator_member=member,
                          cells=tuple(members), grid=step)
@@ -451,7 +447,6 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
             raise NumericalError("poisson theta grid does not cover the "
                                  "region", y=y, alpha=alpha)
         comps = ((0.0, comps[0][1]),) + comps[1:]
-    member = any(lo <= theta_hat <= hi for lo, hi in comps)
     return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
                      estimator=theta_hat, estimator_member=member,
                      intervals=comps, grid=step)

@@ -138,8 +138,10 @@ def load_csv(path, response, covariates=None, impute_median=False,
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [row for row in reader if row]
+        header = next(reader, [])
+        rows = [(reader.line_num, row) for row in reader if row]
+    if not rows:
+        raise DomainError("%r has no data rows below its header" % (path,))
     if response not in header:
         raise DomainError("response column %r not found in %r" % (response, path))
     cols = covariates if covariates is not None else \
@@ -148,12 +150,21 @@ def load_csv(path, response, covariates=None, impute_median=False,
     if missing:
         raise DomainError("covariate column(s) not found: %s" % ", ".join(missing))
 
-    def cell(row, name):
-        v = row[header.index(name)].strip()
-        return float(v) if v else math.nan
+    def cell(line, row, j):
+        if j >= len(row):
+            raise DomainError("line %d of %r has no value in column %r"
+                              % (line, path, header[j]))
+        v = row[j].strip()
+        try:
+            return float(v) if v else math.nan
+        except ValueError:
+            raise DomainError("line %d of %r: non-numeric value %r in column "
+                              "%r" % (line, path, v, header[j])) from None
 
-    Y = np.array([cell(r, response) for r in rows])
-    X = np.array([[cell(r, c) for c in cols] for r in rows])
+    jy = header.index(response)
+    jx = [header.index(c) for c in cols]
+    Y = np.array([cell(line, r, jy) for line, r in rows])
+    X = np.array([[cell(line, r, j) for j in jx] for line, r in rows])
     if np.isnan(Y).any():
         raise DomainError("response column contains missing values")
     if impute_median:

@@ -88,6 +88,15 @@ def test_region_pvalue_grid_non_finite_y(runner, y):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:nan:0.5", "nan:1:0.5", "0:1:nan",
+                                  "0:inf:0.5", "-inf:1:0.5", "0:1:inf"])
+def test_region_pvalue_grid_non_finite_bounds(runner, grid):
+    res = runner.invoke(main, ["region", "--prior", "horseshoe", "--y", "0",
+                               "--alpha", "0.1", "--pvalue-grid", grid])
+    assert res.exit_code == 2, res.output
+    assert "must be finite" in res.output and "theta0" not in res.output
+
+
 # -- nef --------------------------------------------------------------------
 
 
@@ -153,6 +162,17 @@ def test_nef_non_integral_n(runner):
                                "--y", "1", "--alpha", "0.1"])
     assert res.exit_code == 2, res.output
     assert "whole number" in res.output
+
+
+def test_region_beta_prime_large_b(runner):
+    # the large-x series of log 1F1 fails for a large b; the Taylor series
+    # after Kummer's transformation answers
+    res = runner.invoke(main, ["region", "--prior", "bp:a=1,b=50",
+                               "--y", "1", "--alpha", "0.1"])
+    assert res.exit_code == 0, res.output
+    d = json.loads(res.output)
+    (lo, hi), = d["intervals"]
+    assert lo <= d["focal"] <= hi
 
 
 def test_region_large_beta_prime_shape(runner):
@@ -264,6 +284,21 @@ def test_regress_usage_errors(runner, tmp_path):
                                "--prior", "flat", "--alpha", "0.1",
                                "--sigma2", "abc"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y,x1\n1,2\n3,x\n", "non-numeric value 'x' in column 'x1'"),
+    ("y,x1\n1,2\n3\n", "no value in column 'x1'"),
+    ("y,x1\n", "no data rows"),
+])
+def test_regress_malformed_csv(runner, tmp_path, text, message):
+    data = tmp_path / "d.csv"
+    data.write_text(text)
+    res = runner.invoke(main, ["regress", "--data", str(data), "--response",
+                               "y", "--prior", "flat", "--alpha", "0.1",
+                               "--sigma2", "1"])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
 
 
 # -- simulate ---------------------------------------------------------------

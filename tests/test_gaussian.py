@@ -254,6 +254,18 @@ def test_p_value_curve_flat_matches_two_sided_z():
         assert abs(p - want) <= 2e-5, (t, p, want)
 
 
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+def test_p_value_flat_closed_form(sigma):
+    # p = 2 Phi(-|y - theta0| / sigma), exactly rather than to a tolerance
+    y = 1.2
+    grid = [y + sigma * d
+            for d in (-7.5, -3.0, -1.0, -0.3, 0.0, 0.5, 2.0, 6.0)]
+    curve = p_value_curve(parse_prior("flat", sigma=sigma), y, grid)
+    for t, p in zip(curve.grid, curve.pvals):
+        want = 2.0 * _core.norm_cdf(-abs(y - t) / sigma)
+        assert abs(p - want) <= 1e-12, (t, p, want)
+
+
 def test_p_value_peaks_at_focal():
     m = parse_prior("gaussian:tau=1")
     focal = focal_point(m, 1.0)

@@ -107,6 +107,15 @@ def test_bp_large_a(spec):
     assert abs((li.hi_offset - li.lo_offset) - 2 * Z90) < 1e-12
 
 
+@pytest.mark.parametrize("a, b", [(0.1, 100.0), (0.5, 60.0), (1.0, 45.0),
+                                  (3.0, 25.0), (10.0, 15.0)])
+def test_bp_large_b(a, b):
+    # the first failing b at each a when the large-x series of log 1F1 was
+    # summed whatever the size of b - a
+    region = confidence_region(parse_prior("bp:a=%g,b=%g" % (a, b)), 1.0, 0.1)
+    assert region.contains(region.focal)
+
+
 # -- marginals --------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import CATALOG_SPECS
 from fabcr.asymptotics import limit_interval
-from fabcr.gaussian import confidence_region
+from fabcr.gaussian import confidence_region, p_value_curve
 from fabcr.priors import parse_prior
 
 TOL = 1e-6
@@ -76,6 +76,37 @@ def test_nested_in_alpha(m, offset, alpha1, alpha2):
 def test_focal_containment(m, offset, alpha):
     region = confidence_region(m, m.loc + offset * m.sigma, alpha)
     assert region.contains(region.focal)
+
+
+@_PROPERTY
+@given(_models(), _OFFSET, _ALPHA)
+def test_p_value_region_duality(m, offset, alpha):
+    # the region is {theta0 : p(theta0) >= alpha}
+    y = m.loc + offset * m.sigma
+    region = confidence_region(m, y, alpha)
+    width = region.hi - region.lo
+    inside = [region.lo + f * width for f in (0.25, 0.5, 0.75)]
+    grid = [region.focal, region.lo, region.hi] + inside
+    p = p_value_curve(m, y, grid).pvals
+    assert p[0] >= alpha
+    assert abs(p[1] - alpha) <= TOL and abs(p[2] - alpha) <= TOL
+    assert all(v >= alpha for v in p[3:])
+
+
+_TIED_SPECS = tuple(s for s in CATALOG_SPECS + ("gaussian",)
+                    if parse_prior(s).scale_tied)
+
+
+@_PROPERTY
+@given(st.sampled_from(_TIED_SPECS), st.floats(min_value=0.2, max_value=5.0),
+       _OFFSET, _ALPHA)
+def test_sigma_scaling(spec, sigma, offset, alpha):
+    # C(sigma, y) = sigma C(1, y / sigma) when the prior scale is tied to sigma
+    scaled = confidence_region(parse_prior(spec, sigma=sigma), offset * sigma,
+                               alpha)
+    base = confidence_region(parse_prior(spec), offset, alpha)
+    assert _close(scaled.lo, sigma * base.lo)
+    assert _close(scaled.hi, sigma * base.hi)
 
 
 _POWER_TAIL_SPECS = ("horseshoe", "gpd", "bessel", "bp:a=1.5,b=2")

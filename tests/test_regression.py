@@ -176,3 +176,20 @@ def test_load_csv_errors(tmp_path):
         load_csv(p, "z")
     with pytest.raises(DomainError):
         load_csv(p, "y", covariates=["nope"])
+
+
+@pytest.mark.parametrize("text, where", [
+    ("y,x1,x2\n1,2,3\n4,five,6\n", "line 3 .*'five'.*'x1'"),
+    ("y,x1,x2\n1,2,3\n4,5\n", "line 3 .*'x2'"),
+])
+def test_load_csv_bad_cell_names_line_and_column(tmp_path, text, where):
+    p = _write_csv(tmp_path / "d.csv", text)
+    with pytest.raises(DomainError, match=where):
+        load_csv(p, "y")
+
+
+@pytest.mark.parametrize("text", ["y,x1\n", ""])
+def test_load_csv_without_data_rows(tmp_path, text):
+    p = _write_csv(tmp_path / "d.csv", text)
+    with pytest.raises(DomainError, match="no data rows"):
+        load_csv(p, "y")

@@ -2,12 +2,14 @@
 and identities.
 
 Reference constants were computed with mpmath at 40 decimal digits and
-frozen here; the tests never call mpmath at run time. The kernels assume
-arguments inside their domains; the public entry points validate input.
+frozen here. Only the large-b Kummer check calls mpmath at run time, over a
+grid too wide to freeze. The kernels assume arguments inside their domains;
+the public entry points validate input.
 """
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +129,26 @@ def test_kummer_transformation(a, b_extra, x):
     got = _core.log_kummer_1f1_neg(a, a + b_extra, -x)
     want = _LOG_KUMMER_NEG[a, b_extra, x]
     assert abs(math.exp(got - want) - 1.0) <= 1e-10
+
+
+# (a, b) pairs past the large-x series: b - a up to 400, integral b - a with
+# a large a (the series terminates but drops a part that is not small), and
+# the beta-prime arguments (a + 1/2, a + b + 1/2) and (a + 3/2, a + b + 3/2)
+# of bp:a=0.1,b=59 and bp:a=0.1,b=100
+_LARGE_B_PAIRS = tuple((f * b, b) for b in (2.0, 15.0, 45.0, 100.6, 400.0)
+                       for f in (0.01, 0.5, 0.99)) + (
+    (14.0, 15.0), (198.0, 200.0), (399.0, 400.0),
+    (0.6, 59.6), (1.6, 60.6), (0.6, 100.6), (1.6, 101.6))
+
+
+@pytest.mark.parametrize("a, b", _LARGE_B_PAIRS)
+def test_kummer_large_b_matches_mpmath(a, b):
+    for x in (45.0 + 1e-9, 45.5, 60.0, 165.0, 700.0, 2000.0):
+        got = _core.log_kummer_1f1_neg(a, b, -x)
+        with mp.workdps(30):
+            want = mp.log(mp.hyp1f1(a, b, -x))
+            err = abs(float(mp.expm1(got - want)))
+        assert err <= 1e-10, (a, b, x, got, float(want))
 
 
 # -- Dawson integral --------------------------------------------------------
