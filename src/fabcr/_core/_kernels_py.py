@@ -22,7 +22,7 @@ KIND_LAPLACE = 3        # p1 = kappa
 KIND_FLAT_ATOM = 4      # p1 = gamma
 KIND_HORSESHOE = 5      # BP(1/2, 1/2), Dawson closed form
 KIND_GPD = 6            # BP(1/2, 1), explicit exp form
-KIND_BESSEL = 7         # BP(1, 1/2), scaled Bessel form
+KIND_BESSEL = 7         # BP(1, 1/2), scaled Bessel form near 0
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -245,37 +245,14 @@ def _i1_series(z):
     return s
 
 
-def _iv_asymp_scaled(z, nu):
-    # e^{-z} I_nu(z) ~ (2 pi z)^(-1/2) * sum_k term_k,
-    # term_k = term_{k-1} * -(4 nu^2 - (2k-1)^2) / (8 z k)
-    mu = 4.0 * nu * nu
-    term = 1.0
-    s = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        c = 2.0 * k - 1.0
-        term *= -(mu - c * c) / (8.0 * z * k)
-        if abs(term) >= prev:
-            break
-        s += term
-        prev = abs(term)
-        if abs(term) < 1e-17 * abs(s):
-            break
-    return s / math.sqrt(2.0 * math.pi * z)
-
-
 def bessel_i0e(z):
-    """exp(-z) * I0(z) for z >= 0."""
-    if z <= _BESSEL_SERIES_CUTOFF:
-        return math.exp(-z) * _i0_series(z)
-    return _iv_asymp_scaled(z, 0.0)
+    """exp(-z) * I0(z) for 0 <= z <= _BESSEL_SERIES_CUTOFF."""
+    return math.exp(-z) * _i0_series(z)
 
 
 def bessel_i1e(z):
-    """exp(-z) * I1(z) for z >= 0."""
-    if z <= _BESSEL_SERIES_CUTOFF:
-        return math.exp(-z) * _i1_series(z)
-    return _iv_asymp_scaled(z, 1.0)
+    """exp(-z) * I1(z) for 0 <= z <= _BESSEL_SERIES_CUTOFF."""
+    return math.exp(-z) * _i1_series(z)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +329,9 @@ def log_marginal(kind, p1, p2, sigma, y):
         return -math.log(sigma) - _LOG_SQRT2PI + math.log(ratio)
     if kind == KIND_BESSEL:
         w = y * y / (4.0 * sigma * sigma)
+        if w > _BESSEL_SERIES_CUTOFF:
+            # i0e - i1e cancels as w grows; the general 1F1 form does not
+            return _log_marginal_betaprime(1.0, 0.5, sigma, y)
         diff = bessel_i0e(w) - bessel_i1e(w)
         return (-_LOG_SQRT2PI - math.log(sigma)
                 + math.log(math.pi / 4.0) + math.log(diff))
@@ -397,11 +377,14 @@ def dlog_marginal(kind, p1, p2, sigma, y):
             return (y / (sigma * sigma)) * dds
         elif kind == KIND_BESSEL:
             w = y * y / (4.0 * sigma * sigma)
-            if w < 1e-8:
-                ratio = 0.5 * (1.0 + 0.5 * w)
-            else:
-                ratio = bessel_i1e(w) / (w * (bessel_i0e(w) - bessel_i1e(w)))
-            return (y / (2.0 * sigma * sigma)) * (ratio - 2.0)
+            if w <= _BESSEL_SERIES_CUTOFF:
+                if w < 1e-8:
+                    ratio = 0.5 * (1.0 + 0.5 * w)
+                else:
+                    ratio = bessel_i1e(w) / (w * (bessel_i0e(w) - bessel_i1e(w)))
+                return (y / (2.0 * sigma * sigma)) * (ratio - 2.0)
+            # i0e - i1e cancels as w grows; the general 1F1 form does not
+            a, b = 1.0, 0.5
         else:
             a, b = p1, p2
         z = -(y * y) / (2.0 * sigma * sigma)

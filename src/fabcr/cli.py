@@ -20,6 +20,7 @@ from fabcr.errors import (DomainError, NumericalError, SpecParseError,
 from fabcr.priors import parse_prior
 
 _G = "%.17g"
+_MAX_GRID_POINTS = 10 ** 6
 
 
 def _fmt(x):
@@ -51,8 +52,8 @@ def main():
 @click.option("--y", type=float, required=True, help="observed value")
 @click.option("--alpha", type=float, required=True, help="error level in (0,1)")
 @click.option("--pvalue-grid", default=None, metavar="LO:HI:STEP",
-              help="emit a p-value curve CSV over this theta grid instead of "
-                   "the region record")
+              help="emit a p-value curve CSV over this theta grid (at most "
+                   "10^6 points) instead of the region record")
 @_guarded
 def region(prior_spec, sigma, y, alpha, pvalue_grid):
     """Confidence region for a normal mean."""
@@ -68,8 +69,11 @@ def region(prior_spec, sigma, y, alpha, pvalue_grid):
                                  "finite, got %r" % (pvalue_grid,))
         if step <= 0 or hi < lo:
             raise SpecParseError("--pvalue-grid: need LO <= HI and STEP > 0")
-        npts = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        grid = [lo + i * step for i in range(npts)]
+        span = (hi - lo) / step + 1e-9
+        if not span < _MAX_GRID_POINTS:
+            raise SpecParseError("--pvalue-grid: at most %d points, got %r"
+                                 % (_MAX_GRID_POINTS, pvalue_grid))
+        grid = [lo + i * step for i in range(int(math.floor(span)) + 1)]
         curve = gaussian.p_value_curve(model, y, grid)
         curve.write_csv(click.get_text_stream("stdout"))
         return

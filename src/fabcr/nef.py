@@ -87,35 +87,19 @@ class NefModel:
         """Support points: {0..n} for the binomial, the k-tuples of counts
         summing to n for the multinomial. For the Poisson, {0..m} with m =
         theta + 12 sqrt(theta + 1) + 30 (theta = exp(eta), or the prior mean
-        when eta is None), doubled until the null tail P(Y > m) is at most
-        1e-12."""
+        when eta is None): by Bernstein's inequality the null tail P(Y > m)
+        is below exp(-60) at every theta. An m above 1e8 raises
+        NumericalError before the support is built."""
         if self.family == "binom":
             return list(range(self.n + 1))
         if self.family == "multinom":
             return _compositions(self.n, len(self.a), 0)
         theta = math.exp(eta) if eta is not None else self.a[0] * (1 - self.p) / self.p
         m = int(theta + 12.0 * math.sqrt(theta + 1.0) + 30.0)
-        while m <= 10 ** 8 and self._poisson_tail(theta, m) > 1e-12:
-            m *= 2
         if m > 10 ** 8:
             raise NumericalError("poisson support truncation runaway",
                                  theta=theta, support_max=m)
         return list(range(m + 1))
-
-    @staticmethod
-    def _poisson_tail(theta, m):
-        """P(Y > m) for Y ~ Poisson(theta) and m >= theta, summed upward from
-        m + 1 until a term falls below 1e-17 of the sum. Summing the tail
-        keeps its relative accuracy; 1 - P(Y <= m) has an absolute rounding
-        error above 1e-13 once theta is about 1e3."""
-        term = math.exp((m + 1) * math.log(theta) - theta - math.lgamma(m + 2.0))
-        total = term
-        y = m + 1
-        while term > 1e-17 * total:
-            y += 1
-            term *= theta / y
-            total += term
-        return total
 
     # -- prior cumulant lambda and its gradient ----------------------------
 
@@ -274,31 +258,26 @@ def acceptance_set(model: NefModel, eta, alpha):
 
     Support points are sorted by lambda_eta ascending and accumulated until
     the target mass is reached; points tied with the cutoff are included
-    (over-coverage is permitted), with deterministic ordering by y.
+    (over-coverage is permitted), with deterministic ordering by y. A set
+    whose summed mass never reaches the target holds every point; for the
+    Poisson, whose support is truncated, that raises NumericalError.
     """
     alpha = check_alpha(alpha)
     support = model.support(eta=eta if model.family == "poisson" else None)
-    scored = sorted((model._lam_eta(eta, y), y) for y in support)
     target = 1.0 - alpha
     acc = 0.0
     cutoff = None
     members = []
-    probs = [math.exp(model._log_pmf(eta, y)) for _, y in scored]
-    total_mass = sum(probs)
-    if model.family == "poisson" and total_mass < target:
-        raise NumericalError("poisson truncation insufficient", eta=eta,
-                             mass=total_mass)
-    for (lv, y), pr in zip(scored, probs):
+    for lv, y in sorted((model._lam_eta(eta, y), y) for y in support):
         if cutoff is not None and lv > cutoff:
             break
         members.append(y)
-        acc += pr
+        acc += math.exp(model._log_pmf(eta, y))
         if cutoff is None and acc >= target:
             cutoff = lv + _TIE_REL * max(1.0, abs(lv))
-    if cutoff is None:
-        # numerically short of the target due to truncation rounding: take all
-        members = [y for _, y in scored]
-        acc = total_mass
+    if cutoff is None and model.family == "poisson":
+        raise NumericalError("poisson truncation insufficient", eta=eta,
+                             mass=acc)
     members.sort()
     return DiscreteAcceptanceSet(eta=eta, alpha=alpha, members=tuple(members),
                                  attained_coverage=acc)

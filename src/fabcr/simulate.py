@@ -173,15 +173,12 @@ def run_experiment(config: ExperimentConfig, threads=1):
     tasks = [(config, gi, r)
              for gi in range(len(config.log_sigma_beta_grid))
              for r in range(config.reps)]
-    results = {}
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for gi, r, res in pool.map(_rep_task, tasks, chunksize=1):
-                results[(gi, r)] = res
+            done = list(pool.map(_rep_task, tasks, chunksize=1))
     else:
-        for t in tasks:
-            gi, r, res = _rep_task(t)
-            results[(gi, r)] = res
+        done = map(_rep_task, tasks)
+    results = {(gi, r): res for gi, r, res in done}
 
     cells = []
     for spec in config.priors:

@@ -97,6 +97,27 @@ def test_region_pvalue_grid_non_finite_bounds(runner, grid):
     assert "must be finite" in res.output and "theta0" not in res.output
 
 
+@pytest.mark.parametrize("grid", ["0:1e308:1e-10", "-1e308:1e308:1", "0:1e7:1",
+                                  "0:1000000:1"])
+def test_region_pvalue_grid_too_many_points(runner, grid):
+    # the last grid holds 10^6 + 1 points
+    res = runner.invoke(main, ["region", "--prior", "flat", "--y", "0",
+                               "--alpha", "0.1", "--pvalue-grid", grid])
+    assert res.exit_code == 2, res.output
+    assert "at most 1000000 points" in res.output
+
+
+def test_region_bessel_far_out(runner):
+    res = runner.invoke(main, ["region", "--prior", "bessel", "--y", "1e6",
+                               "--alpha", "0.1"])
+    assert res.exit_code == 0, res.output
+    d = json.loads(res.output)
+    assert abs(d["focal"] - (1e6 - 3e-6)) < 1e-9
+    (lo, hi), = d["intervals"]
+    # the region is the z-interval shifted by O(sigma^2 / y)
+    assert abs((lo - 1e6) + Z90) < 1e-5 and abs((hi - 1e6) - Z90) < 1e-5
+
+
 # -- nef --------------------------------------------------------------------
 
 

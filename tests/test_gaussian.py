@@ -192,9 +192,10 @@ def test_robust_region_reverts_far_out():
 def test_region_where_floats_are_coarser_than_the_tolerance():
     # at y = 1e9 floats are 1.2e-7 apart, wider than the 1e-8 endpoint
     # tolerance: the bisection stops at adjacent floats
-    reg = confidence_region(parse_prior("horseshoe"), 1e9, 0.1)
-    assert abs((reg.lo - 1e9) + Z90) < 1e-6
-    assert abs((reg.hi - 1e9) - Z90) < 1e-6
+    for spec in ("horseshoe", "bessel"):
+        reg = confidence_region(parse_prior(spec), 1e9, 0.1)
+        assert abs((reg.lo - 1e9) + Z90) < 1e-6, spec
+        assert abs((reg.hi - 1e9) - Z90) < 1e-6, spec
 
 
 def test_bounded_width_for_robust_priors():

@@ -293,22 +293,24 @@ def test_poisson_truncation_invariance():
         assert a1.members == a2.members, theta
 
 
-@pytest.mark.parametrize("theta,m", [(0.01, 10), (1.0, 5), (7.0, 12),
-                                     (100.0, 160), (1285.1653193733594, 1500)])
-def test_poisson_tail_matches_scipy(theta, m):
-    want = stats.poisson(theta).sf(m)
-    # the start term's exponent is ~1e4 at theta ~ 1e3: ~1e-12 relative rounding
-    assert abs(NefModel._poisson_tail(theta, m) - want) <= 1e-10 * want
-
-
 def test_poisson_support_at_large_theta():
-    # the forward-summed P(Y <= m) rounded to below 1 - 1e-12 here, so the
-    # support doubled until the 1e8 cap
-    theta = 1285.1653193733594
+    # the one support, m = theta + 12 sqrt(theta + 1) + 30:
+    # Bernstein's inequality bounds P(Y > m) by exp(-60) at every theta
     m = parse_family("poisson:a=1,p=0.5")
-    support = m.support(eta=math.log(theta))
-    assert support == list(range(len(support)))
-    assert stats.poisson(theta).sf(support[-1]) < 1e-12
+    for i in range(-32, 25):
+        theta = 10.0 ** (i / 4.0)
+        support = m.support(eta=math.log(theta))
+        assert support == list(range(len(support)))
+        assert stats.poisson(theta).sf(support[-1]) < 1e-12, theta
+
+
+def test_poisson_support_cap():
+    # a count above about 1.7e6 asks for theta up to 60 (y + 1); a support
+    # past 1e8 points is refused before it is built
+    m = parse_family("poisson:a=1,p=0.5")
+    with pytest.raises(NumericalError) as info:
+        m.support(eta=math.log(60.0 * (2e6 + 1)))
+    assert info.value.diagnostics["support_max"] > 10 ** 8
 
 
 # -- regions ----------------------------------------------------------------

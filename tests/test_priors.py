@@ -142,11 +142,23 @@ def test_horseshoe_marginal_frozen():
 def test_special_forms_match_general(name, a, b):
     special = parse_prior(name)
     general = parse_prior("bp:a=%g,b=%g" % (a, b))
-    for y in (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0):
+    for y in (0.1, -0.1, 1.0, -1.0, 5.0, -5.0, 20.0, -20.0, 1e3, -1e3, 1e4,
+              -1e4, 1e6, -1e6):
         ls, lg = special.log_marginal(y), general.log_marginal(y)
         assert abs(ls - lg) <= 1e-10 * max(1.0, abs(lg)), (name, y)
         ds, dg = special.dlog_marginal(y), general.dlog_marginal(y)
         assert abs(ds - dg) <= 1e-9 * max(1.0, abs(dg)), (name, y)
+        ps, pg = special.posterior_mean(y), general.posterior_mean(y)
+        assert abs(ps - pg) <= 1e-12 * max(1.0, abs(pg)), (name, y)
+
+
+def test_bessel_shrinkage_far_out():
+    # the bessel prior's marginal tail is |y|^-3, so y - theta_hat ~ 3 sigma^2 / y
+    for sigma in (1.0, 2.0):
+        m = parse_prior("bessel", sigma=sigma)
+        for y in (1e3, -1e3, 1e4, 1e5):
+            shrink = y - m.posterior_mean(y)
+            assert abs(shrink * y / (3.0 * sigma ** 2) - 1.0) < 1e-4, (sigma, y)
 
 
 @pytest.mark.parametrize("spec", CATALOG_SPECS)

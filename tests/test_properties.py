@@ -1,20 +1,22 @@
-"""The paper's invariants of the Gaussian-mean regions, as properties over
-the prior catalog.
+"""The paper's invariants as properties: the Gaussian-mean regions over
+the prior catalog, and the acceptance sets of the discrete families.
 
 Observations stay within 6 sigma of the prior location, short of where a
 nearly degenerate spending weight makes the Gaussian and Laplace endpoints
 noisy at the 1e-6 level (see the README). Runs are derandomized and small:
-every example costs a few region solves.
+every example costs a few region solves or acceptance sets.
 """
 
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import CATALOG_SPECS
 from fabcr.asymptotics import limit_interval
 from fabcr.gaussian import confidence_region, p_value_curve
+from fabcr.nef import NefModel, acceptance_set
 from fabcr.priors import parse_prior
 
 TOL = 1e-6
@@ -123,3 +125,68 @@ def test_power_tail_width_settles_to_limit(m, distance, below, alpha):
     region = confidence_region(m, y, alpha)
     assert abs((region.lo - y) - li.lo_offset) < 0.05 * m.sigma
     assert abs((region.hi - y) - li.hi_offset) < 0.05 * m.sigma
+
+
+# -- discrete families ------------------------------------------------------
+
+_SHAPE = st.floats(min_value=0.1, max_value=10.0)
+
+
+@st.composite
+def _families(draw):
+    family = draw(st.sampled_from(("binom", "poisson", "multinom")))
+    if family == "binom":
+        return NefModel("binom", n=draw(st.integers(1, 30)), a=(draw(_SHAPE),),
+                        b=draw(_SHAPE))
+    if family == "poisson":
+        return NefModel("poisson", a=(draw(_SHAPE),),
+                        p=draw(st.floats(min_value=0.05, max_value=0.95)))
+    k = draw(st.integers(2, 4))
+    return NefModel("multinom", n=draw(st.integers(1, 8)),
+                    a=tuple(draw(_SHAPE) for _ in range(k)))
+
+
+@st.composite
+def _observed(draw):
+    m = draw(_families())
+    if m.family == "poisson":
+        return m, draw(st.integers(0, 40))
+    return m, draw(st.sampled_from(m.support()))
+
+
+@st.composite
+def _null(draw):
+    m = draw(_families())
+    eta = st.floats(min_value=-5.0, max_value=5.0)
+    if m.family == "multinom":
+        return m, tuple(draw(eta) for _ in range(m.k - 1))
+    return m, draw(eta)
+
+
+@_PROPERTY
+@given(_observed(), _ALPHA)
+def test_nef_focal_point_accepts_y(observed, alpha):
+    # lambda is convex and grad lambda(y) = eta_hat, so y minimises
+    # lambda_eta_hat and sorts first in the acceptance set at eta_hat
+    m, y = observed
+    eta_hat = m.fab_estimator(y)[0]
+    assert y in acceptance_set(m, eta_hat, alpha).members
+
+
+def _null_pmf(m, theta, y):
+    if m.family == "binom":
+        return stats.binom(m.n, theta).pmf(y)
+    if m.family == "poisson":
+        return stats.poisson(theta).pmf(y)
+    return stats.multinomial(m.n, theta).pmf(y)
+
+
+@_PROPERTY
+@given(_null(), _ALPHA)
+def test_nef_coverage_floor(null, alpha):
+    m, eta = null
+    accepted = acceptance_set(m, eta, alpha)
+    assert accepted.attained_coverage >= 1.0 - alpha
+    theta = m.mean_map(eta)
+    mass = sum(_null_pmf(m, theta, y) for y in accepted.members)
+    assert mass >= 1.0 - alpha - 1e-9

@@ -189,16 +189,15 @@ def test_bessel_values():
     assert abs(got - 0.019568545664785996148) <= 1e-10 * abs(got)
 
 
-# e^{-z} I0(z) on both sides of the series/asymptotic cutoff at 18
+# e^{-z} I0(z) inside the series range z <= 18, the only one the bessel
+# marginal evaluates (it takes the general beta-prime form beyond)
 _I0E = {0.1: 0.907100925782301091652, 1.0: 0.465759607593640436502,
-        8.0: 0.143431781856850310711, 25.0: 0.0801967735474367084224,
-        600.0: 0.0162901466563059816906}
+        8.0: 0.143431781856850310711}
 
 
 def test_bessel_scaled_consistency():
     for z, want in _I0E.items():
         assert abs(_core.bessel_i0e(z) - want) < 1e-14
-        # i0e stays finite and positive far beyond exp overflow of I0
         assert 0.0 < _core.bessel_i0e(z) <= 1.0
         assert 0.0 <= _core.bessel_i1e(z) < _core.bessel_i0e(z) or z == 0.0
 
