@@ -20,7 +20,7 @@ KIND_GAUSSIAN = 1       # p1 = tau (free prior scale, not tied to sigma)
 KIND_BETAPRIME = 2      # p1 = a, p2 = b
 KIND_LAPLACE = 3        # p1 = kappa
 KIND_FLAT_ATOM = 4      # p1 = gamma
-KIND_HORSESHOE = 5      # BP(1/2, 1/2), Dawson closed form
+KIND_HORSESHOE = 5      # BP(1/2, 1/2), Dawson closed-form marginal
 KIND_GPD = 6            # BP(1/2, 1), explicit exp form
 KIND_BESSEL = 7         # BP(1, 1/2), scaled Bessel form near 0
 
@@ -360,11 +360,8 @@ def dlog_marginal(kind, p1, p2, sigma, y):
     if kind == KIND_BETAPRIME or kind == KIND_HORSESHOE or kind == KIND_GPD \
             or kind == KIND_BESSEL:
         if kind == KIND_HORSESHOE:
-            t = abs(y) / (_SQRT2 * sigma)
-            if t >= 0.05:
-                d = dawson(t)
-                sgn = 1.0 if y > 0 else -1.0
-                return -1.0 / y + sgn * (1.0 - 2.0 * t * d) / (d * _SQRT2 * sigma)
+            # the Dawson form -1/y + (1 - 2tD(t))/(sqrt(2) sigma D(t)) cancels
+            # near 0 and as |y| grows; the general 1F1 form does not
             a, b = 0.5, 0.5
         elif kind == KIND_GPD:
             s = y * y / (2.0 * sigma * sigma)

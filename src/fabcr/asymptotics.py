@@ -11,11 +11,11 @@ y - posterior_mean(y) -> sigma * kappa. For kappa = 0 (power-law tails) the
 limit is the classical z-interval and the drift vanishes.
 """
 
-import math
 from dataclasses import dataclass
 
 from fabcr import _core
-from fabcr.errors import DomainError, UnsupportedModelError, check_alpha
+from fabcr.errors import (DomainError, UnsupportedModelError, check_alpha,
+                          check_finite)
 from fabcr.gaussian import _bisect
 from fabcr.priors import PriorModel
 
@@ -44,9 +44,7 @@ def g_alpha(alpha, w):
 def g_alpha_inv(alpha, t):
     """Inverse of g_alpha in w, by bisection on [1e-16, 1 - 1e-16]."""
     alpha = check_alpha(alpha, closed_top=True)
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError("t must be finite, got %r" % (t,))
+    t = check_finite("t", t)
     wa, wb = 1e-16, 1.0 - 1e-16
     if g_alpha(alpha, wa) >= t:
         return wa
@@ -69,16 +67,14 @@ def _tail_or_raise(model: PriorModel):
     return prof
 
 
-def limit_interval(model: PriorModel, alpha, sigma=None, direction="+inf"):
+def limit_interval(model: PriorModel, alpha, direction="+inf"):
     """Limit of C_alpha(y) - y as y tends to +inf or -inf."""
     alpha = check_alpha(alpha)
     if direction not in ("+inf", "-inf"):
         raise DomainError("direction must be '+inf' or '-inf', got %r"
                           % (direction,))
     prof = _tail_or_raise(model)
-    s = model.sigma if sigma is None else float(sigma)
-    if not (0.0 < s < math.inf):
-        raise DomainError("sigma must be finite and positive, got %r" % (s,))
+    s = model.sigma
     c = c_alpha(alpha, prof.kappa)
     if not (0.0 < c <= _core.norm_cdf(-prof.kappa)):
         raise UnsupportedModelError(

@@ -15,12 +15,11 @@ from functools import wraps
 import click
 
 from fabcr import asymptotics, gaussian, nef, regression, simulate
-from fabcr.errors import (DomainError, NumericalError, SpecParseError,
-                          UnsupportedModelError)
+from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
+                          SpecParseError, UnsupportedModelError, check_finite)
 from fabcr.priors import parse_prior
 
 _G = "%.17g"
-_MAX_GRID_POINTS = 10 ** 6
 
 
 def _fmt(x):
@@ -64,15 +63,14 @@ def region(prior_spec, sigma, y, alpha, pvalue_grid):
         except ValueError:
             raise SpecParseError("--pvalue-grid expects LO:HI:STEP, got %r"
                                  % (pvalue_grid,))
-        if not all(map(math.isfinite, (lo, hi, step))):
-            raise SpecParseError("--pvalue-grid: LO, HI and STEP must be "
-                                 "finite, got %r" % (pvalue_grid,))
+        lo, hi, step = (check_finite("--pvalue-grid LO, HI and STEP", v)
+                        for v in (lo, hi, step))
         if step <= 0 or hi < lo:
             raise SpecParseError("--pvalue-grid: need LO <= HI and STEP > 0")
         span = (hi - lo) / step + 1e-9
-        if not span < _MAX_GRID_POINTS:
+        if not span < MAX_GRID_POINTS:
             raise SpecParseError("--pvalue-grid: at most %d points, got %r"
-                                 % (_MAX_GRID_POINTS, pvalue_grid))
+                                 % (MAX_GRID_POINTS, pvalue_grid))
         grid = [lo + i * step for i in range(int(math.floor(span)) + 1)]
         curve = gaussian.p_value_curve(model, y, grid)
         curve.write_csv(click.get_text_stream("stdout"))

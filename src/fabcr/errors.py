@@ -4,6 +4,12 @@ The CLI maps these onto exit codes: usage/parse problems exit 2, numerical
 failures exit 3.
 """
 
+import math
+import numbers
+
+# most points any grid (a p-value curve, a scan, an NEF theta grid) may hold
+MAX_GRID_POINTS = 10 ** 6
+
 
 class FabcrError(Exception):
     """Base class for all package errors."""
@@ -21,6 +27,30 @@ def check_alpha(alpha, closed_top=False):
         raise DomainError("alpha must be in (0,%s, got %r"
                           % ("1]" if closed_top else "1)", alpha))
     return alpha
+
+
+def check_finite(name, value):
+    """value as a float; a nan or an infinity raises DomainError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError("%s must be finite, got %r" % (name, value))
+    return value
+
+
+def check_positive(name, value):
+    """value as a finite float > 0; any other value raises DomainError."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise DomainError("%s must be finite and positive, got %r"
+                          % (name, value))
+    return value
+
+
+def check_count(name, value):
+    """value as an int >= 1; anything else raises DomainError."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise DomainError("%s must be an integer >= 1, got %r" % (name, value))
+    return int(value)
 
 
 class SpecParseError(FabcrError, ValueError):

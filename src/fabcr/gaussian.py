@@ -17,18 +17,30 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from fabcr import _core
-from fabcr.errors import (DomainError, NumericalError, RegionBoundError,
-                          check_alpha)
+from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
+                          RegionBoundError, check_alpha, check_finite,
+                          check_positive)
 from fabcr.priors import PriorModel
 
 _ENDPOINT_TOL = 1e-8
-_MARCH_STEPS = 200
 
 
-def _finite(name, value):
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError("%s must be finite, got %r" % (name, value))
+def _in_range(model, name, value):
+    """value (y or theta0) as a finite float. DomainError unless sigma is in
+    [1e-75, 1e75] and |value - loc| <= 1e75 sigma, where the kernels square
+    nothing past 1e300; for the Gaussian prior with a free tau, also unless
+    tau / sigma is in [1e-4, 1e4] and |value - loc| <= 1e9 sigma, beyond
+    which its cutoff formulation loses the resolution it needs."""
+    value = check_finite(name, value)
+    s, tau = model.sigma, model.tau
+    reach = 1e75 if tau is None else 1e9
+    if not (1e-75 <= s <= 1e75 and abs(value - model.loc) <= reach * s
+            and (tau is None or 1e-4 <= tau / s <= 1e4)):
+        raise DomainError("need sigma in [1e-75, 1e75] and |%s - loc| <= "
+                          "1e75 sigma (for a free gaussian tau, 1e9 sigma and "
+                          "tau/sigma in [1e-4, 1e4]), got %s=%r, loc=%r, "
+                          "sigma=%r, tau=%r"
+                          % (name, name, value, model.loc, s, tau))
     return value
 
 
@@ -107,21 +119,23 @@ def _march(inside_at, start, direction, step, limit=None, **context):
     """Step from `start`, where `inside_at` holds, in `direction` (+-1) to
     start + step, start + 3 step, start + 7 step, ..., clipped at `limit`,
     until `inside_at` fails. Returns the last (inside, outside) pair, or None
-    if `inside_at` still holds at `limit`."""
+    if `inside_at` still holds at `limit`. The first step is at least the
+    float spacing at `start`, so every step moves."""
     inside = start
-    for _ in range(_MARCH_STEPS):
+    step = max(step, math.ulp(start))
+    while True:
         t = inside + direction * step
         if limit is not None and direction * (t - limit) > 0.0:
             t = limit
+        if not math.isfinite(t):
+            raise NumericalError("bracket search overflowed", start=start,
+                                 direction=direction, last=inside, **context)
         if not inside_at(t):
             return inside, t
         if t == limit:
             return None
         inside = t
         step *= 2.0
-    raise NumericalError("bracket search exhausted its step budget",
-                         start=start, direction=direction, last=inside,
-                         steps=_MARCH_STEPS, **context)
 
 
 def _bisect(inside_at, inside, outside, tol):
@@ -197,10 +211,9 @@ def _lam_root(model, theta0, level, start, direction):
         a = 0.5 / s2 - 0.5 / v
         b = -t0 / s2
         c0 = t0 * t0 / (2.0 * s2) - 0.5 * math.log(2.0 * math.pi * v) - level
-        disc = b * b - 4.0 * a * c0
-        if disc < 0.0:
-            raise NumericalError("lam level below its minimum", theta0=theta0,
-                                 level=level, prior=model.spec_string())
+        # a level at or just below the minimum (by rounding) gives the
+        # minimiser, whose sublevel set holds no null mass
+        disc = max(0.0, b * b - 4.0 * a * c0)
         root = (-b + direction * math.sqrt(disc)) / (2.0 * a)
         return mu + root
 
@@ -257,7 +270,7 @@ def weight(model: PriorModel, theta0, alpha):
 
 def acceptance_interval(model: PriorModel, theta0, alpha):
     alpha = check_alpha(alpha)
-    theta0 = _finite("theta0", theta0)
+    theta0 = _in_range(model, "theta0", theta0)
     try:
         w, lo, hi = _solve(model, theta0, alpha)
     except _DegenerateWeight:
@@ -283,8 +296,10 @@ def _search_cap(model, y):
     prof = model.tail_profile()
     kappa = prof.kappa if prof is not None else 0.0
     # the search range is centred on the prior location and must hold the
-    # focal point, which lies between the location and y
-    return abs(y - model.loc) + 50.0 * model.sigma * max(1.0, kappa)
+    # focal point, which lies between the location and y; its margin also
+    # spans a few floats where they are spaced wider than sigma
+    return abs(y - model.loc) + max(50.0 * model.sigma * max(1.0, kappa),
+                                    16.0 * math.ulp(abs(y) + abs(model.loc)))
 
 
 def _bracket_endpoint(model, y, alpha, start, direction, cap):
@@ -305,19 +320,24 @@ def _bracket_endpoint(model, y, alpha, start, direction, cap):
 
 
 def confidence_region(model: PriorModel, y, alpha, scan_step=None):
-    """Region {theta0 : lo(theta0) <= y <= hi(theta0)}, endpoints to 1e-8.
+    """Region {theta0 : lo(theta0) <= y <= hi(theta0)}, endpoints to 1e-8
+    or to the float spacing near y, whichever is wider.
 
     Default mode brackets outward from the focal point and returns a single
     interval. Passing ``scan_step`` enables a diagnostic dense scan of the
     membership function; if the scan detects disconnected components, the
-    union is returned and ``multiple_components`` is set. A non-finite y,
-    or a ``scan_step`` that is not finite and positive, raises DomainError.
+    union is returned and ``multiple_components`` is set. A y outside the
+    supported range (see `_in_range`), or a ``scan_step`` that is not finite
+    and positive or that gives more than 10^6 scan points, raises
+    DomainError.
     """
     alpha = check_alpha(alpha)
-    y = _finite("y", y)
-    if scan_step is not None and not (0.0 < float(scan_step) < math.inf):
-        raise DomainError("scan_step must be finite and positive, got %r"
-                          % (scan_step,))
+    y = _in_range(model, "y", y)
+    if scan_step is not None:
+        scan_step = check_positive("scan_step", scan_step)
+        if not 2.0 * _search_cap(model, y) / scan_step <= MAX_GRID_POINTS - 1:
+            raise DomainError("scan_step %r gives more than %d scan points"
+                              % (scan_step, MAX_GRID_POINTS))
     focal = model.posterior_mean(y)
     member, lo0, hi0 = _membership(model, focal, alpha, y)
     if not member:
@@ -330,7 +350,7 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
     cap = _search_cap(model, y)
 
     if scan_step is not None:
-        return _scan_region(model, y, alpha, focal, cap, float(scan_step))
+        return _scan_region(model, y, alpha, focal, cap, scan_step)
 
     left = _bracket_endpoint(model, y, alpha, focal, -1.0, cap)
     right = _bracket_endpoint(model, y, alpha, focal, +1.0, cap)
@@ -377,10 +397,10 @@ def _scan_region(model, y, alpha, focal, cap, step):
 def p_value_curve(model: PriorModel, y, grid):
     """p_y(theta0) = sup {alpha : theta0 in C_alpha(y)} on each grid point,
     in closed form: the null mass outside the acceptance interval at theta0
-    whose boundary passes through y. A non-finite y or grid point raises
-    DomainError."""
-    y = _finite("y", y)
-    grid = tuple(_finite("theta0", t) for t in grid)
+    whose boundary passes through y. A y or grid point outside the
+    supported range (see `_in_range`) raises DomainError."""
+    y = _in_range(model, "y", y)
+    grid = tuple(_in_range(model, "theta0", t) for t in grid)
     return PValueCurve(grid=grid, pvals=tuple(_p_value(model, t, y)
                                               for t in grid), y=y)
 
@@ -388,5 +408,7 @@ def p_value_curve(model: PriorModel, y, grid):
 def z_interval(y, sigma, alpha):
     """Classical equal-tailed interval y +- sigma * Phi^-1(1 - alpha/2)."""
     alpha = check_alpha(alpha)
+    y = check_finite("y", y)
+    sigma = check_positive("sigma", sigma)
     half = sigma * _core.norm_quantile(1.0 - 0.5 * alpha)
     return (y - half, y + half)

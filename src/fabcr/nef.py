@@ -20,11 +20,17 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from fabcr import _core
-from fabcr.errors import (DomainError, NumericalError, SpecParseError,
-                          check_alpha)
+from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
+                          SpecParseError, check_alpha, check_count,
+                          check_positive)
 from fabcr.priors import _parse_spec
 
 FAMILIES = ("binom", "poisson", "multinom")
+
+# the parameters each family takes, all required
+_FAMILY_PARAMS = {"binom": ("n", "a", "b"), "poisson": ("a", "p"),
+                  "multinom": ("n", "a")}
+_FAMILY_FIELDS = sorted(set().union(*_FAMILY_PARAMS.values()))
 
 _TIE_REL = 1e-12
 
@@ -40,10 +46,6 @@ def _compositions(total, k, least):
     return [h + (total - sum(h),) for h in heads]
 
 
-def _positive(x):
-    return math.isfinite(x) and x > 0
-
-
 @dataclass(frozen=True)
 class NefModel:
     family: str
@@ -56,26 +58,24 @@ class NefModel:
         if self.family not in FAMILIES:
             raise SpecParseError("unknown NEF family %r (choose from %s)"
                                  % (self.family, ", ".join(FAMILIES)))
-        if self.family == "binom":
-            if self.n is None or self.n < 1:
-                raise DomainError("binom: n must be >= 1, got %r" % (self.n,))
-            if self.a is None or len(self.a) != 1 or not _positive(self.a[0]):
-                raise DomainError("binom: shape a must be finite and positive")
-            if self.b is None or not _positive(self.b):
-                raise DomainError("binom: shape b must be finite and positive")
-        elif self.family == "poisson":
-            if self.a is None or len(self.a) != 1 or not _positive(self.a[0]):
-                raise DomainError("poisson: shape a must be finite and positive")
-            if self.p is None or not (0.0 < self.p < 1.0):
-                raise DomainError("poisson: p must be in (0,1), got %r" % (self.p,))
-        else:
-            if self.n is None or self.n < 1:
-                raise DomainError("multinom: n must be >= 1, got %r" % (self.n,))
-            if self.a is None or len(self.a) < 2 or not all(map(_positive, self.a)):
-                raise DomainError("multinom: need k >= 2 finite positive shapes")
-            if len(self.a) > 4:
-                raise DomainError("multinom: k <= 4 supported (exhaustive "
-                                  "support enumeration), got k=%d" % len(self.a))
+        params = _FAMILY_PARAMS[self.family]
+        given = [f for f in _FAMILY_FIELDS if getattr(self, f) is not None]
+        if sorted(params) != given:
+            raise SpecParseError("%s family takes %s, got %s" % (
+                self.family, ", ".join(params), ", ".join(given) or "none"))
+        if self.n is not None:
+            check_count("%s: n" % self.family, self.n)
+        least, most = (2, 4) if self.family == "multinom" else (1, 1)
+        if not least <= len(self.a) <= most:
+            raise DomainError("%s: need %d to %d shapes a (the multinomial "
+                              "support is enumerated), got %d"
+                              % (self.family, least, most, len(self.a)))
+        for v in self.a:
+            check_positive("%s: shape a" % self.family, v)
+        if self.b is not None:
+            check_positive("binom: shape b", self.b)
+        if self.p is not None and not 0.0 < self.p < 1.0:
+            raise DomainError("poisson: p must be in (0,1), got %r" % (self.p,))
 
     @property
     def k(self):
@@ -174,9 +174,7 @@ class NefModel:
                 raise DomainError("binom: theta must be in (0,1), got %r" % (theta,))
             return math.log(theta / (1.0 - theta))
         if self.family == "poisson":
-            if theta <= 0.0:
-                raise DomainError("poisson: theta must be positive, got %r" % (theta,))
-            return math.log(theta)
+            return math.log(check_positive("poisson: theta", theta))
         th = tuple(float(v) for v in theta)
         if len(th) != len(self.a) or any(v <= 0 for v in th) \
                 or abs(sum(th) - 1.0) > 1e-9:
@@ -355,15 +353,19 @@ def theta_grid(model: NefModel, y, grid=None):
     least 60 (y+1), so the window holds the estimator, which lies in every
     region. Multinomial: the open-simplex points with coordinates in
     multiples of 1/denominator, `grid` being the denominator (default 60;
-    truncated to an integer), and step 1/denominator. A `grid` that is not finite and positive, or that leaves
-    no grid point inside the family's range, raises DomainError.
+    truncated to an integer), and step 1/denominator. A `grid` that is not
+    finite and positive, that leaves no grid point inside the family's
+    range, or that gives more than 10^6 points raises DomainError before
+    any list is built.
     """
     default = {"binom": 1e-4, "poisson": 1e-3, "multinom": 60}[model.family]
-    step = default if grid is None else float(grid)
-    if not (0.0 < step < math.inf):
-        raise DomainError("grid must be finite and positive, got %r" % (grid,))
+    step = default if grid is None else check_positive("grid", grid)
+    too_many = DomainError("%s: grid %r gives more than %d theta points"
+                           % (model.family, grid, MAX_GRID_POINTS))
 
     if model.family == "binom":
+        if not 1.0 / step < MAX_GRID_POINTS + 1.5:
+            raise too_many
         m = int(round(1.0 / step))
         if m < 2:
             raise DomainError("binom: grid step %r leaves no theta inside "
@@ -374,6 +376,8 @@ def theta_grid(model: NefModel, y, grid=None):
         theta_hat = model.fab_estimator(y)[1]
         lo = math.log(max(1e-8, min((y + 1.0) / 60.0, theta_hat)))
         hi = math.log(60.0 * (y + 1.0))
+        if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
+            raise too_many
         npts = int(math.ceil((hi - lo) / step)) + 1
         if npts < 3:
             raise DomainError("poisson: log-theta grid step %r leaves no "
@@ -384,6 +388,8 @@ def theta_grid(model: NefModel, y, grid=None):
     if denom < model.k:
         raise DomainError("multinom: grid (the simplex denominator) must "
                           "be >= k=%d, got %r" % (model.k, grid))
+    if math.comb(denom - 1, model.k - 1) > MAX_GRID_POINTS:
+        raise too_many
     return 1.0 / denom, [tuple(c / denom for c in cell)
                          for cell in _compositions(denom, model.k, 1)]
 
@@ -435,25 +441,23 @@ def parse_family(spec):
     """Build a NefModel from a spec string: "binom:n=8,a=1,b=1",
     "poisson:a=1,p=0.5", "multinom:n=15,a1=1,a2=1,a3=1"."""
     family, kv = _parse_spec(spec, "family", FAMILIES)
+    shape_keys = ["a"]
+    if family == "multinom":
+        shape_keys = []
+        while "a%d" % (len(shape_keys) + 1) in kv:
+            shape_keys.append("a%d" % (len(shape_keys) + 1))
     try:
-        n = None if family == "poisson" else kv.pop("n")
-        if family == "multinom":
-            shapes = []
-            while ("a%d" % (len(shapes) + 1)) in kv:
-                shapes.append(kv.pop("a%d" % (len(shapes) + 1)))
-        else:
-            shapes = [kv.pop("a")]
-        b = kv.pop("b") if family == "binom" else None
-        p = kv.pop("p") if family == "poisson" else None
+        args = {f: kv.pop(f) for f in _FAMILY_PARAMS[family] if f != "a"}
+        args["a"] = tuple(kv.pop(key) for key in shape_keys)
     except KeyError as exc:
         raise SpecParseError("missing parameter %s in family spec %r"
                              % (exc, spec)) from None
     if kv:
         raise SpecParseError("unexpected parameter(s) %s in family spec %r"
                              % (", ".join(sorted(kv)), spec))
-    if n is not None:
-        if not n.is_integer():
+    if "n" in args:
+        if not args["n"].is_integer():
             raise SpecParseError("n must be a whole number, got %r in family "
-                                 "spec %r" % (n, spec))
-        n = int(n)
-    return NefModel(family=family, n=n, a=tuple(shapes), b=b, p=p)
+                                 "spec %r" % (args["n"], spec))
+        args["n"] = int(args["n"])
+    return NefModel(family=family, **args)

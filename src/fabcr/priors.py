@@ -28,11 +28,12 @@ structure in sigma.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from fabcr import _core
-from fabcr.errors import DomainError, SpecParseError
+from fabcr.errors import (DomainError, SpecParseError, check_finite,
+                          check_positive)
 
 _LOG_SQRTPI = 0.5 * math.log(math.pi)
 
@@ -49,6 +50,21 @@ _KIND_CODE = {
     "bessel": _core.KIND_BESSEL,
     "laplace": _core.KIND_LAPLACE,
 }
+
+# the parameters each kind takes besides sigma and loc; all are required but
+# gaussian's tau, which ties the prior scale to sigma when left out
+_PARAMS = {"flat": (), "flat+atom": ("gamma",), "gaussian": ("tau",),
+           "bp": ("a", "b"), "horseshoe": (), "gpd": (), "bessel": (),
+           "laplace": ("kappa",)}
+_PARAM_NAMES = sorted(set().union(*_PARAMS.values()))
+
+
+def _refuse_extra(kind, names):
+    extra = set(names) - set(_PARAMS[kind])
+    if extra:
+        raise SpecParseError("unexpected parameter(s) %s for prior kind %r"
+                             % (", ".join(sorted(extra)), kind))
+
 
 # (a, b) of the named beta-prime special cases
 _BP_ALIAS = {"horseshoe": (0.5, 0.5), "gpd": (0.5, 1.0), "bessel": (1.0, 0.5)}
@@ -77,28 +93,17 @@ class PriorModel:
         if self.kind not in KINDS:
             raise SpecParseError("unknown prior kind %r (choose from %s)"
                                  % (self.kind, ", ".join(KINDS)))
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise DomainError("sigma must be positive, got %r" % (self.sigma,))
-        if not math.isfinite(self.loc):
-            raise DomainError("loc must be finite, got %r" % (self.loc,))
-        if self.kind == "gaussian":
-            if self.tau is not None and not (math.isfinite(self.tau) and self.tau > 0):
-                raise DomainError("gaussian prior: tau must be positive, got %r"
-                                  % (self.tau,))
-        elif self.kind == "bp":
-            if self.a is None or self.b is None:
-                raise SpecParseError("bp prior requires shapes a and b")
-            if not all(math.isfinite(v) and v > 0 for v in (self.a, self.b)):
-                raise DomainError("bp prior: shapes must be finite and positive, "
-                                  "got a=%r b=%r" % (self.a, self.b))
-        elif self.kind == "laplace":
-            if self.kappa is None or not (math.isfinite(self.kappa) and self.kappa > 0):
-                raise DomainError("laplace prior: kappa must be positive, got %r"
-                                  % (self.kappa,))
-        elif self.kind == "flat+atom":
-            if self.gamma is None or not (math.isfinite(self.gamma) and self.gamma > 0):
-                raise DomainError("flat+atom prior: gamma must be positive, got %r"
-                                  % (self.gamma,))
+        check_positive("sigma", self.sigma)
+        check_finite("loc", self.loc)
+        _refuse_extra(self.kind, [n for n in _PARAM_NAMES
+                                  if getattr(self, n) is not None])
+        for name in _PARAMS[self.kind]:
+            value = getattr(self, name)
+            if value is not None:
+                check_positive("%s prior: %s" % (self.kind, name), value)
+            elif self.kind != "gaussian":  # tau=None ties tau to sigma
+                raise DomainError("%s prior requires %s"
+                                  % (self.kind, " and ".join(_PARAMS[self.kind])))
 
     # -- kernel plumbing ---------------------------------------------------
 
@@ -177,22 +182,12 @@ class PriorModel:
 
     def with_sigma(self, sigma):
         """Same prior family rebuilt at a different likelihood scale."""
-        return PriorModel(kind=self.kind, sigma=float(sigma), loc=self.loc,
-                          tau=self.tau, a=self.a, b=self.b, kappa=self.kappa,
-                          gamma=self.gamma)
+        return replace(self, sigma=float(sigma))
 
     def spec_string(self):
         """Canonical plain-text spec, parseable by parse_prior."""
-        parts = []
-        if self.kind == "gaussian" and self.tau is not None:
-            parts.append("tau=%.17g" % self.tau)
-        elif self.kind == "bp":
-            parts.append("a=%.17g" % self.a)
-            parts.append("b=%.17g" % self.b)
-        elif self.kind == "laplace":
-            parts.append("kappa=%.17g" % self.kappa)
-        elif self.kind == "flat+atom":
-            parts.append("gamma=%.17g" % self.gamma)
+        parts = ["%s=%.17g" % (n, getattr(self, n)) for n in _PARAMS[self.kind]
+                 if getattr(self, n) is not None]
         if self.loc != 0.0:
             parts.append("loc=%.17g" % self.loc)
         if parts:
@@ -234,13 +229,5 @@ def parse_prior(spec, sigma=1.0):
     An optional "loc=<value>" entry shifts the prior location.
     """
     kind, kv = _parse_spec(spec, "prior", KINDS)
-    allowed = {"flat": set(), "flat+atom": {"gamma"}, "gaussian": {"tau"},
-               "bp": {"a", "b"}, "horseshoe": set(), "gpd": set(),
-               "bessel": set(), "laplace": {"kappa"}}[kind] | {"loc"}
-    extra = set(kv) - allowed
-    if extra:
-        raise SpecParseError("unexpected parameter(s) %s for prior kind %r"
-                             % (", ".join(sorted(extra)), kind))
-    return PriorModel(kind=kind, sigma=float(sigma), loc=kv.get("loc", 0.0),
-                      tau=kv.get("tau"), a=kv.get("a"), b=kv.get("b"),
-                      kappa=kv.get("kappa"), gamma=kv.get("gamma"))
+    _refuse_extra(kind, set(kv) - {"loc"})
+    return PriorModel(kind=kind, sigma=float(sigma), **kv)

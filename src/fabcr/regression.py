@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fabcr.errors import DomainError
+from fabcr.errors import DomainError, check_positive
 from fabcr.gaussian import ConfidenceRegion, confidence_region, z_interval
 from fabcr.priors import parse_prior
 
@@ -57,6 +57,14 @@ def fit_regression(X, Y, Sigma=None, sigma2=None):
         raise DomainError("need n >= p, got n=%d, p=%d" % (n, p))
     if Sigma is not None and sigma2 is not None:
         raise DomainError("give Sigma or sigma2, not both")
+    if Sigma is not None:
+        Sigma = np.asarray(Sigma, dtype=float)
+        if Sigma.shape != (n, n):
+            raise DomainError("Sigma must be n x n")
+    if not all(np.isfinite(v).all() for v in (X, Y, Sigma) if v is not None):
+        raise DomainError("X, Y and Sigma must be finite")
+    if sigma2 is not None:
+        sigma2 = check_positive("sigma2", sigma2)
 
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
@@ -68,28 +76,23 @@ def fit_regression(X, Y, Sigma=None, sigma2=None):
 
     estimated = False
     if Sigma is not None:
-        Sigma = np.asarray(Sigma, dtype=float)
-        if Sigma.shape != (n, n):
-            raise DomainError("Sigma must be n x n")
         # Sigma_tilde = R^-1 Q' Sigma Q R^-T
         M = Q.T @ Sigma @ Q
         Sigma_tilde = Rinv @ M @ Rinv.T
-        s2 = float(np.trace(Sigma) / n)
+        sigma2 = float(np.trace(Sigma) / n)
     else:
         if sigma2 is None:
             if n <= p:
                 raise DomainError("sigma2 estimation requires n > p")
             resid = Y - X @ beta_hat
-            sigma2 = float(resid @ resid) / (n - p)
+            sigma2 = check_positive("estimated sigma2",
+                                    float(resid @ resid) / (n - p))
             estimated = True
-        s2 = float(sigma2)
-        if s2 <= 0:
-            raise DomainError("sigma2 must be positive, got %r" % (s2,))
-        Sigma_tilde = s2 * (Rinv @ Rinv.T)
+        Sigma_tilde = sigma2 * (Rinv @ Rinv.T)
 
     Sigma_tilde = 0.5 * (Sigma_tilde + Sigma_tilde.T)  # enforce symmetry
     return RegressionProblem(X=X, Y=Y, beta_hat=beta_hat,
-                             Sigma_tilde=Sigma_tilde, sigma2=s2,
+                             Sigma_tilde=Sigma_tilde, sigma2=sigma2,
                              sigma2_estimated=estimated)
 
 
@@ -101,10 +104,8 @@ def combo_region(prob: RegressionProblem, x, prior_spec, alpha) -> ConfidenceReg
         raise DomainError("x must have p=%d entries" % prob.p)
     if not np.any(x):
         raise DomainError("x must be nonzero")
-    var = float(x @ prob.Sigma_tilde @ x)
-    if var <= 0.0:
-        raise DomainError("x' Sigma_tilde x must be positive, got %r" % (var,))
-    sigma = math.sqrt(var)
+    sigma = math.sqrt(check_positive("x' Sigma_tilde x",
+                                     float(x @ prob.Sigma_tilde @ x)))
     model = parse_prior(prior_spec, sigma=sigma)
     y = float(x @ prob.beta_hat)
     return confidence_region(model, y, alpha)

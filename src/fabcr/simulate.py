@@ -21,7 +21,8 @@ from typing import Tuple
 import numpy as np
 
 from fabcr import _core
-from fabcr.errors import DomainError, SpecParseError, check_alpha
+from fabcr.errors import (DomainError, SpecParseError, check_alpha,
+                          check_count, check_finite, check_positive)
 from fabcr.regression import all_marginal_regions, fit_regression
 
 _AR_RHO = 0.5
@@ -40,13 +41,16 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise DomainError("reps must be >= 1")
+        for name in ("n", "p", "reps"):
+            check_count(name, getattr(self, name))
+        if self.n < self.p:
+            raise DomainError("need n >= p, got n=%d, p=%d" % (self.n, self.p))
+        check_positive("sigma_y2", self.sigma_y2)
         if not self.log_sigma_beta_grid or not self.priors:
             raise DomainError("grids must be non-empty")
+        for v in self.log_sigma_beta_grid:
+            check_finite("log_sigma_beta", v)
         check_alpha(self.alpha)
-        if self.sigma_y2 <= 0:
-            raise DomainError("sigma_y2 must be positive")
 
     @classmethod
     def from_file(cls, path):
@@ -126,8 +130,8 @@ def _normals(rng, size):
 
 def gen_design(n, p, seed):
     """n x p design with unit-variance AR(1) rows, corr 0.5^|j-k|."""
-    if n < 1 or p < 1:
-        raise DomainError("need n, p >= 1")
+    check_count("n", n)
+    check_count("p", p)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     rng = np.random.Generator(np.random.Philox(ss))

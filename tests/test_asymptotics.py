@@ -3,8 +3,6 @@
 The frozen c_alpha table was computed by 40-digit bisection in mpmath.
 """
 
-import math
-
 import pytest
 
 from fabcr import _core
@@ -146,12 +144,6 @@ def test_limit_interval_bad_args():
         limit_interval(m, 0.0)
     with pytest.raises(DomainError):
         limit_interval(m, 0.1, direction="up")
-
-
-@pytest.mark.parametrize("sigma", [math.nan, math.inf])
-def test_limit_interval_rejects_non_finite_sigma(sigma):
-    with pytest.raises(DomainError):
-        limit_interval(parse_prior("horseshoe"), 0.1, sigma=sigma)
 
 
 # -- agreement with directly computed regions -------------------------------

@@ -118,6 +118,29 @@ def test_region_bessel_far_out(runner):
     assert abs((lo - 1e6) + Z90) < 1e-5 and abs((hi - 1e6) - Z90) < 1e-5
 
 
+@pytest.mark.parametrize("args", [
+    ["--prior", "horseshoe", "--y", "1.01e75"],
+    ["--prior", "bp:a=1,b=0.5", "--y", "1e200"],
+    ["--prior", "flat", "--sigma", "1e-170", "--y", "0"],
+    ["--prior", "flat", "--sigma", "1e76", "--y", "0"],
+    ["--prior", "gaussian:tau=1", "--y", "2e9"],
+])
+def test_region_outside_the_supported_range(runner, args):
+    res = runner.invoke(main, ["region", "--alpha", "0.1"] + args)
+    assert res.exit_code == 2, res.output
+    assert "sigma" in res.output
+
+
+@pytest.mark.parametrize("y", ["3.1622776601683795e17", "1e75", "-1e75"])
+def test_region_where_floats_are_wider_apart_than_sigma(runner, y):
+    # the search range and the first bracket step allow for float spacing
+    res = runner.invoke(main, ["region", "--prior", "horseshoe", "--y", y,
+                               "--alpha", "0.1"])
+    assert res.exit_code == 0, res.output
+    (lo, hi), = json.loads(res.output)["intervals"]
+    assert lo <= float(y) <= hi and hi - lo <= 4.0 * math.ulp(float(y))
+
+
 # -- nef --------------------------------------------------------------------
 
 
@@ -176,6 +199,13 @@ def test_nef_bad_grid(runner):
                                    "--format", "csv"])
         assert res.exit_code == 2, (family, grid, res.output)
         assert "grid" in res.output
+
+
+def test_nef_grid_with_too_many_points(runner):
+    res = runner.invoke(main, ["nef", "--family", "binom:n=8,a=1,b=1",
+                               "--y", "4", "--alpha", "0.1", "--grid", "1e-9"])
+    assert res.exit_code == 2, res.output
+    assert "more than 1000000 theta points" in res.output
 
 
 def test_nef_non_integral_n(runner):
@@ -305,6 +335,16 @@ def test_regress_usage_errors(runner, tmp_path):
                                "--prior", "flat", "--alpha", "0.1",
                                "--sigma2", "abc"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("sigma2", ["nan", "inf", "-inf", "0", "-1"])
+def test_regress_non_positive_sigma2(runner, tmp_path, sigma2):
+    data = _write_regression_csv(tmp_path / "d.csv")
+    res = runner.invoke(main, ["regress", "--data", data, "--response", "y",
+                               "--prior", "flat", "--alpha", "0.1",
+                               "--sigma2", sigma2])
+    assert res.exit_code == 2, res.output
+    assert "sigma2 must be finite and positive" in res.output
 
 
 @pytest.mark.parametrize("text, message", [

@@ -9,11 +9,12 @@ import pytest
 from conftest import CATALOG_SPECS
 from fabcr import _core
 from fabcr.errors import DomainError, NumericalError
-from fabcr.gaussian import (AcceptanceInterval, ConfidenceRegion, _bisect,
-                            _march, _np_interval, _solve, acceptance_interval,
+from fabcr.gaussian import (_ENDPOINT_TOL, AcceptanceInterval,
+                            ConfidenceRegion, _bisect, _march, _np_interval,
+                            _solve, acceptance_interval,
                             confidence_region, focal_point, p_value_curve,
                             weight, z_interval)
-from fabcr.priors import parse_prior
+from fabcr.priors import PriorModel, parse_prior
 
 Z90 = 1.6448536269514722   # Phi^-1(0.95)
 Z95 = 1.959963984540054    # Phi^-1(0.975)
@@ -198,6 +199,67 @@ def test_region_where_floats_are_coarser_than_the_tolerance():
         assert abs((reg.hi - 1e9) - Z90) < 1e-6, spec
 
 
+@pytest.mark.parametrize("sigma", [1e-75, 1.0, 1e75])
+@pytest.mark.parametrize("spec", CATALOG_SPECS + ("gaussian",))
+def test_region_far_out_up_to_the_supported_range(spec, sigma):
+    # |y - loc| runs up to 1e75 sigma (1e9 sigma for the Gaussian prior with a
+    # free tau, here tau = sigma). Past |y| / sigma ~ 4.5e15 floats near y lie
+    # further apart than sigma and the region spans the few floats around y;
+    # endpoints hold to 1e-8 or to that spacing, whichever is wider.
+    m = parse_prior(spec, sigma=sigma)
+    if m.tau is not None:
+        m = PriorModel("gaussian", sigma=sigma, tau=sigma)
+    top = 9 if m.tau is not None else 75
+    for k in list(range(0, top, 3)) + [top]:
+        for sign in (1.0, -1.0):
+            y = sign * 10.0 ** k * sigma
+            reg = confidence_region(m, y, 0.1)
+            tol = max(_ENDPOINT_TOL, 2.0 * math.ulp(y))
+            assert reg.contains(reg.focal), (k, sign)
+            assert reg.lo - tol <= y <= reg.hi + tol, (k, sign)
+            if m.tail_profile() is not None:
+                assert reg.width <= 10.0 * sigma + 2.0 * tol, (k, sign)
+    with pytest.raises(DomainError, match="1e75 sigma"):
+        confidence_region(m, 1.01 * 10.0 ** top * sigma, 0.1)
+
+
+@pytest.mark.parametrize("sigma", [1e-76, 1e-170, 1e76])
+def test_sigma_outside_the_supported_range_is_refused(sigma):
+    m = parse_prior("horseshoe", sigma=sigma)
+    with pytest.raises(DomainError, match="sigma in"):
+        confidence_region(m, 0.0, 0.1)
+    with pytest.raises(DomainError, match="sigma in"):
+        acceptance_interval(m, 0.0, 0.1)
+    with pytest.raises(DomainError, match="sigma in"):
+        p_value_curve(m, 0.0, [0.0])
+
+
+@pytest.mark.parametrize("tau_ratio", [1e-5, 2e4])
+def test_gaussian_prior_tau_ratio_outside_the_supported_range(tau_ratio):
+    m = PriorModel("gaussian", sigma=2.0, tau=2.0 * tau_ratio)
+    with pytest.raises(DomainError, match="tau/sigma"):
+        confidence_region(m, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("tau, sigma, y", [
+    (0.005, 0.5, 2.8117066259517456), (0.05, 0.5, 15811.388300841896),
+    (3e-7, 1e-6, 3.162277660168379e-06), (3e-6, 1e-6, 10 ** 6.75 * 1e-6)])
+def test_gaussian_prior_level_at_its_minimum(tau, sigma, y):
+    # the cutoff formulation asks for the sublevel set at the minimum of lam
+    # itself; rounding put that level below the closed-form minimum and the
+    # region raised "lam level below its minimum"
+    m = PriorModel("gaussian", sigma=sigma, tau=tau)
+    reg = confidence_region(m, y, 0.1)
+    assert reg.contains(reg.focal)
+    assert p_value_curve(m, y, [reg.focal]).pvals[0] >= 0.1
+
+
+def test_scan_refuses_more_than_a_million_points():
+    # the scan covers the search range of about 2 (|y - loc| + 50 sigma)
+    with pytest.raises(DomainError, match="scan points"):
+        confidence_region(parse_prior("flat"), 1.0, 0.1, scan_step=1e-6)
+
+
 def test_bounded_width_for_robust_priors():
     for spec in ("horseshoe", "laplace:kappa=1"):
         m = parse_prior(spec)
@@ -333,6 +395,18 @@ def test_march_step_budget_raises():
         _march(lambda t: True, 0.0, 1.0, 1.0, prior="test")
     assert info.value.diagnostics["prior"] == "test"
     assert info.value.diagnostics["direction"] == 1.0
+
+
+def test_march_first_step_is_at_least_the_float_spacing():
+    # floats near 1e20 are 16384 apart: a first step of 1 would not move
+    probes = []
+
+    def below(t):
+        probes.append(t)
+        return t < 1e20 + 1e5
+
+    assert _march(below, 1e20, 1.0, 1.0) == (1e20 + 49152.0, 1e20 + 114688.0)
+    assert probes == [1e20 + 16384.0, 1e20 + 49152.0, 1e20 + 114688.0]
 
 
 def test_bisect_reaches_tolerance():

@@ -74,6 +74,16 @@ def test_parse_family_rejects_non_finite_shapes(spec):
         parse_family(spec)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("binom", {"n": 8, "a": (1.0,), "b": 1.0, "p": 0.3}),
+    ("poisson", {"n": 3, "a": (1.0,), "p": 0.5}),
+    ("poisson", {"a": (1.0,), "b": 1.0, "p": 0.5}),
+    ("multinom", {"n": 3, "a": (1.0, 1.0), "b": 1.0})])
+def test_model_refuses_parameters_the_family_does_not_take(family, params):
+    with pytest.raises(SpecParseError, match="family takes"):
+        NefModel(family=family, **params)
+
+
 def test_model_validation():
     with pytest.raises(DomainError):
         NefModel(family="binom", n=0, a=(1.0,), b=1.0)
@@ -447,6 +457,26 @@ def test_region_rejects_invalid_grid(spec, y, grid):
     # region
     with pytest.raises(DomainError):
         confidence_region_nef(parse_family(spec), y, 0.1, grid=grid)
+
+
+def test_theta_grid_holds_at_most_a_million_points():
+    # the count is checked before any list is built: binomial grid=1e-9
+    # would be a 10^9-element list, multinomial grid=1000 at k=4 C(999, 3)
+    # cells
+    binom = parse_family("binom:n=8,a=1,b=1")
+    step, thetas = theta_grid(binom, 4, 1.0 / (10 ** 6 + 1))
+    assert len(thetas) == 10 ** 6
+    del thetas
+    for spec, y, grid in [("binom:n=8,a=1,b=1", 4, 1.0 / (10 ** 6 + 2)),
+                          ("binom:n=8,a=1,b=1", 4, 1e-9),
+                          ("binom:n=8,a=1,b=1", 4, 5e-324),
+                          ("poisson:a=1,p=0.5", 3, 1e-9),
+                          ("multinom:n=4,a1=1,a2=1,a3=1,a4=1", (1, 1, 1, 1),
+                           1000),
+                          ("multinom:n=4,a1=1,a2=1,a3=1,a4=1", (1, 1, 1, 1),
+                           1e300)]:
+        with pytest.raises(DomainError, match="more than 1000000"):
+            theta_grid(parse_family(spec), y, grid)
 
 
 def test_theta_grid_is_the_region_grid():
