@@ -27,19 +27,22 @@ _ENDPOINT_TOL = 1e-8
 
 def _in_range(model, name, value):
     """value (y or theta0) as a finite float. DomainError unless sigma is in
-    [1e-75, 1e75] and |value - loc| <= 1e75 sigma, where the kernels square
-    nothing past 1e300; for the Gaussian prior with a free tau, also unless
-    tau / sigma is in [1e-4, 1e4] and |value - loc| <= 1e9 sigma, beyond
-    which its cutoff formulation loses the resolution it needs."""
+    [1e-75, 1e75] and |value - loc| <= 1e75 sigma, where the kernels form no
+    product past 1e300; for the Gaussian prior with a free tau, also unless
+    tau is in [1e-4 sigma, 1e75] and |value - loc| <= 1e15 sigma: from about
+    1e17 sigma, where floats near y lie sigma or more apart, a region that
+    the prior pulls away from y can fall between two of them, and below
+    that tau the region near loc is finer than floats resolve there unless
+    |loc| is small."""
     value = check_finite(name, value)
     s, tau = model.sigma, model.tau
-    reach = 1e75 if tau is None else 1e9
+    reach = 1e75 if tau is None else 1e15
     if not (1e-75 <= s <= 1e75 and abs(value - model.loc) <= reach * s
-            and (tau is None or 1e-4 <= tau / s <= 1e4)):
+            and (tau is None or 1e-4 * s <= tau <= 1e75)):
         raise DomainError("need sigma in [1e-75, 1e75] and |%s - loc| <= "
-                          "1e75 sigma (for a free gaussian tau, 1e9 sigma and "
-                          "tau/sigma in [1e-4, 1e4]), got %s=%r, loc=%r, "
-                          "sigma=%r, tau=%r"
+                          "1e75 sigma (for a free gaussian tau, 1e15 sigma "
+                          "and tau in [1e-4 sigma, 1e75]), got %s=%r, "
+                          "loc=%r, sigma=%r, tau=%r"
                           % (name, name, value, model.loc, s, tau))
     return value
 
@@ -178,18 +181,30 @@ def _solve(model: PriorModel, theta0, alpha):
 # y* satisfies posterior_mean(y*) = theta0 (Pratt 1961). The null mass
 # outside the sublevel set at k = lam(y) is the p-value of theta0, which
 # stays well-conditioned when the tail weight underflows.
+#
+# For the Gaussian prior lam is a parabola with vertex y* = theta0 + sigma u,
+# u = sigma (theta0 - loc) / tau^2, so each sublevel set is symmetric about
+# y* and needs no level: a level of size (y / sigma)^2 would leave its roots
+# only a few digits far from the prior location.
 
 def _lam(model, theta0, y):
     d = y - theta0
     return model.log_marginal(y) + d * d / (2.0 * model.sigma ** 2)
 
 
+def _vertex_offset(model, theta0):
+    """u = (y* - theta0) / sigma for the Gaussian prior."""
+    tau = model._kernel_args()[1]
+    return (theta0 - model.loc) / tau * (model.sigma / tau)
+
+
+def _tail_mass(lo, hi):
+    """Null mass outside [theta0 + sigma lo, theta0 + sigma hi]."""
+    return _core.norm_cdf(lo) + _core.norm_cdf(-hi)
+
+
 def _lam_minimizer(model, theta0):
     """Solve posterior_mean(t) = theta0 (the minimiser of lam)."""
-    if model.kind == "gaussian":
-        tau = model._kernel_args()[1]
-        return model.loc + (theta0 - model.loc) * \
-            (model.sigma ** 2 + tau ** 2) / tau ** 2
     # the posterior mean increases in t: march toward theta0's side of it
     direction = -1.0 if model.posterior_mean(theta0) > theta0 else 1.0
 
@@ -203,20 +218,6 @@ def _lam_minimizer(model, theta0):
 
 def _lam_root(model, theta0, level, start, direction):
     """Root of lam(t) = level marching from `start` (where lam < level)."""
-    if model.kind == "gaussian":
-        # lam is an explicit quadratic: solve it directly
-        s2 = model.sigma ** 2
-        v = s2 + model._kernel_args()[1] ** 2
-        mu, t0 = model.loc, theta0 - model.loc
-        a = 0.5 / s2 - 0.5 / v
-        b = -t0 / s2
-        c0 = t0 * t0 / (2.0 * s2) - 0.5 * math.log(2.0 * math.pi * v) - level
-        # a level at or just below the minimum (by rounding) gives the
-        # minimiser, whose sublevel set holds no null mass
-        disc = max(0.0, b * b - 4.0 * a * c0)
-        root = (-b + direction * math.sqrt(disc)) / (2.0 * a)
-        return mu + root
-
     def below(t):
         return _lam(model, theta0, t) < level
 
@@ -232,13 +233,16 @@ def _outside_mass(model, theta0, level, ystar):
     a = _lam_root(model, theta0, level, ystar, -1.0)
     b = _lam_root(model, theta0, level, ystar, +1.0)
     s = model.sigma
-    return (_core.norm_cdf((a - theta0) / s)
-            + _core.norm_cdf((theta0 - b) / s)), a, b
+    return _tail_mass((a - theta0) / s, (b - theta0) / s), a, b
 
 
 def _p_value(model, theta0, y):
     """p(theta0) = P_theta0(lam(Y) >= lam(y)), the largest alpha whose
     acceptance interval at theta0 holds y."""
+    if model.kind == "gaussian":
+        # the sublevel set through y ends at y and at its mirror image
+        z, u = (y - theta0) / model.sigma, _vertex_offset(model, theta0)
+        return min(1.0, _tail_mass(min(z, 2.0 * u - z), max(z, 2.0 * u - z)))
     ystar = _lam_minimizer(model, theta0)
     level = _lam(model, theta0, y)
     if _lam(model, theta0, ystar) >= level:
@@ -247,14 +251,29 @@ def _p_value(model, theta0, y):
 
 
 def _np_interval(model, theta0, alpha):
-    """Acceptance bounds via bisection on the cutoff level."""
+    """Acceptance bounds via bisection on the cutoff level (for the Gaussian
+    prior, on the near end of the symmetric sublevel set)."""
+    context = dict(theta0=theta0, alpha=alpha, prior=model.spec_string())
+    if model.kind == "gaussian":
+        # in sigma units about theta0, mirrored so that the vertex m >= 0:
+        # march the lower end z of [z, 2m - z] down from the vertex
+        u = _vertex_offset(model, theta0)
+        m = abs(u)
+
+        def short_z(z):
+            return _tail_mass(z, 2.0 * m - z) > alpha
+
+        z = _bisect(short_z, *_march(short_z, m, -1.0, 1.0, **context), 1e-12)
+        lo, hi = (u - m) + z, (u + m) - z
+        return (_core.norm_cdf(lo) / alpha, theta0 + model.sigma * lo,
+                theta0 + model.sigma * hi)
     ystar = _lam_minimizer(model, theta0)
 
     def short(k):
         return _outside_mass(model, theta0, k, ystar)[0] > alpha
 
     lo_k, hi_k = _march(short, _lam(model, theta0, ystar), 1.0, 1.0,
-                        theta0=theta0, alpha=alpha, prior=model.spec_string())
+                        **context)
     # relative tolerance on the level, taken at the bracket end nearer zero
     k = _bisect(short, lo_k, hi_k, 1e-13 * max(1.0, min(abs(lo_k), abs(hi_k))))
     _, a, b = _outside_mass(model, theta0, k, ystar)
@@ -335,9 +354,10 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
     y = _in_range(model, "y", y)
     if scan_step is not None:
         scan_step = check_positive("scan_step", scan_step)
-        if not 2.0 * _search_cap(model, y) / scan_step <= MAX_GRID_POINTS - 1:
-            raise DomainError("scan_step %r gives more than %d scan points"
-                              % (scan_step, MAX_GRID_POINTS))
+    cap = _search_cap(model, y)
+    if scan_step is not None and 2.0 * cap / scan_step > MAX_GRID_POINTS - 1:
+        raise DomainError("scan_step %r gives more than %d scan points"
+                          % (scan_step, MAX_GRID_POINTS))
     focal = model.posterior_mean(y)
     member, lo0, hi0 = _membership(model, focal, alpha, y)
     if not member:
@@ -347,7 +367,6 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
             raise NumericalError("focal point not in its own region",
                                  y=y, alpha=alpha, focal=focal,
                                  prior=model.spec_string())
-    cap = _search_cap(model, y)
 
     if scan_step is not None:
         return _scan_region(model, y, alpha, focal, cap, scan_step)

@@ -123,7 +123,8 @@ def test_region_bessel_far_out(runner):
     ["--prior", "bp:a=1,b=0.5", "--y", "1e200"],
     ["--prior", "flat", "--sigma", "1e-170", "--y", "0"],
     ["--prior", "flat", "--sigma", "1e76", "--y", "0"],
-    ["--prior", "gaussian:tau=1", "--y", "2e9"],
+    ["--prior", "gaussian:tau=1", "--y", "2e15"],
+    ["--prior", "gaussian:tau=1", "--sigma", "2e4", "--y", "0"],
 ])
 def test_region_outside_the_supported_range(runner, args):
     res = runner.invoke(main, ["region", "--alpha", "0.1"] + args)
@@ -316,6 +317,21 @@ def test_regress_csv_output(runner, tmp_path):
     mle, focal, lo, hi = parsed["x1"][:4]
     assert lo <= focal <= hi
     assert abs(mle - 4.0) < 0.6
+
+
+def test_regress_gaussian_prior_small_standard_errors(runner, tmp_path):
+    # sigma2 = 1e-12 gives standard errors near 1e-7, so gaussian:tau=1 puts
+    # tau / sigma near 1e7 and the strong coefficient some 3e7 sigma out
+    data = _write_regression_csv(tmp_path / "d.csv")
+    res = runner.invoke(main, ["regress", "--data", data, "--response", "y",
+                               "--prior", "gaussian:tau=1", "--alpha", "0.1",
+                               "--sigma2", "1e-12"])
+    assert res.exit_code == 0, res.output
+    for line in res.output.strip().splitlines()[1:]:
+        mle, focal, lo, hi, z_lo, z_hi = (float(v)
+                                          for v in line.split(",")[1:7])
+        assert lo <= focal <= hi, line
+        assert z_lo - 1e-6 <= lo and hi <= z_hi + 1e-6, line
 
 
 def test_regress_estimated_sigma_notes(runner, tmp_path):

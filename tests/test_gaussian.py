@@ -4,6 +4,7 @@ import json
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from conftest import CATALOG_SPECS
@@ -202,14 +203,14 @@ def test_region_where_floats_are_coarser_than_the_tolerance():
 @pytest.mark.parametrize("sigma", [1e-75, 1.0, 1e75])
 @pytest.mark.parametrize("spec", CATALOG_SPECS + ("gaussian",))
 def test_region_far_out_up_to_the_supported_range(spec, sigma):
-    # |y - loc| runs up to 1e75 sigma (1e9 sigma for the Gaussian prior with a
-    # free tau, here tau = sigma). Past |y| / sigma ~ 4.5e15 floats near y lie
-    # further apart than sigma and the region spans the few floats around y;
-    # endpoints hold to 1e-8 or to that spacing, whichever is wider.
+    # |y - loc| runs up to 1e75 sigma (1e15 sigma for the Gaussian prior with
+    # a free tau, here tau = sigma). Past |y| / sigma ~ 4.5e15 floats near y
+    # lie further apart than sigma and the region spans the few floats around
+    # y; endpoints hold to 1e-8 or to that spacing, whichever is wider.
     m = parse_prior(spec, sigma=sigma)
     if m.tau is not None:
         m = PriorModel("gaussian", sigma=sigma, tau=sigma)
-    top = 9 if m.tau is not None else 75
+    top = 15 if m.tau is not None else 75
     for k in list(range(0, top, 3)) + [top]:
         for sign in (1.0, -1.0):
             y = sign * 10.0 ** k * sigma
@@ -234,20 +235,62 @@ def test_sigma_outside_the_supported_range_is_refused(sigma):
         p_value_curve(m, 0.0, [0.0])
 
 
-@pytest.mark.parametrize("tau_ratio", [1e-5, 2e4])
-def test_gaussian_prior_tau_ratio_outside_the_supported_range(tau_ratio):
-    m = PriorModel("gaussian", sigma=2.0, tau=2.0 * tau_ratio)
-    with pytest.raises(DomainError, match="tau/sigma"):
+@pytest.mark.parametrize("tau", [2e-5, 1.01e75])
+def test_gaussian_prior_tau_outside_the_supported_range(tau):
+    m = PriorModel("gaussian", sigma=2.0, tau=tau)
+    with pytest.raises(DomainError, match="tau in"):
         confidence_region(m, 1.0, 0.1)
+
+
+def _mirror_p_value(theta0, y, sigma, tau, loc):
+    """The Gaussian prior's p-value in 60-digit arithmetic: lam is a parabola
+    with vertex y* = loc + (theta0 - loc) (sigma^2 + tau^2) / tau^2, and the
+    sublevel set through y runs from y to its mirror image 2 y* - y."""
+    with mp.workdps(60):
+        theta0, y, sigma, tau, loc = map(mp.mpf, (theta0, y, sigma, tau, loc))
+        ystar = loc + (theta0 - loc) * (sigma ** 2 + tau ** 2) / tau ** 2
+        a, b = sorted((y, 2 * ystar - y))
+        return mp.ncdf((a - theta0) / sigma) + mp.ncdf((theta0 - b) / sigma)
+
+
+@pytest.mark.parametrize("tau_ratio", [1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8])
+def test_gaussian_prior_region_far_out_with_a_free_tau(tau_ratio):
+    # Far from loc the region comes from the cutoff formulation, whose
+    # endpoints must bracket alpha in the exact p-value to 1e-6 sigma (or a
+    # few floats) out to the 1e15 sigma reach; cancellation in lam levels of
+    # size (y / sigma)^2 shows first at k = 8.5 to 12.
+    sigma, loc = 1e-6, 2.5e-6
+    m = PriorModel("gaussian", sigma=sigma, tau=tau_ratio * sigma, loc=loc)
+    for k in (0, 1, 3, 6, 8.5, 9, 10.5, 12, 15):
+        for sign, alpha in ((1.0, 0.1), (-1.0, 0.01)):
+            y = loc + sign * 10.0 ** k * sigma
+            reg = confidence_region(m, y, alpha)
+            d = max(1e-6 * sigma, 8.0 * math.ulp(y), 2.0 * _ENDPOINT_TOL)
+            for end, out in ((reg.lo, -1.0), (reg.hi, 1.0)):
+                inner = _mirror_p_value(end - out * d, y, sigma, m.tau, loc)
+                outer = _mirror_p_value(end + out * d, y, sigma, m.tau, loc)
+                assert inner >= alpha >= outer, (k, sign, end)
+    with pytest.raises(DomainError, match="1e15 sigma"):
+        confidence_region(m, loc + 1.01e15 * sigma, 0.1)
+
+
+def test_gaussian_prior_tau_far_above_sigma():
+    # tau / sigma = 1e6: a regression coefficient with standard error 1e-6
+    # under gaussian:tau=1 gives nearly the z-interval
+    reg = confidence_region(PriorModel("gaussian", sigma=1e-6, tau=1.0),
+                            1e-6, 0.1)
+    assert abs(reg.lo - (1e-6 - Z90 * 1e-6)) <= 2.0 * _ENDPOINT_TOL
+    assert abs(reg.hi - (1e-6 + Z90 * 1e-6)) <= 2.0 * _ENDPOINT_TOL
 
 
 @pytest.mark.parametrize("tau, sigma, y", [
     (0.005, 0.5, 2.8117066259517456), (0.05, 0.5, 15811.388300841896),
     (3e-7, 1e-6, 3.162277660168379e-06), (3e-6, 1e-6, 10 ** 6.75 * 1e-6)])
 def test_gaussian_prior_level_at_its_minimum(tau, sigma, y):
-    # the cutoff formulation asks for the sublevel set at the minimum of lam
-    # itself; rounding put that level below the closed-form minimum and the
-    # region raised "lam level below its minimum"
+    # the cutoff formulation asks for the sublevel set through the vertex of
+    # lam itself; when that set was found by solving lam's quadratic at a
+    # level, rounding put the level below the minimum and the region raised
+    # "lam level below its minimum"
     m = PriorModel("gaussian", sigma=sigma, tau=tau)
     reg = confidence_region(m, y, 0.1)
     assert reg.contains(reg.focal)

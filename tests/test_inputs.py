@@ -92,12 +92,15 @@ def _cases():
         PriorModel("flat", sigma=1e76), 0.0, 0.1))
     yield ("p_value_curve theta0=-1.01e75",
            lambda: gaussian.p_value_curve(HS, 0.0, [-1.01e75]))
-    yield ("confidence_region gaussian tau=1 y=1.01e9",
+    yield ("confidence_region gaussian tau=1 y=1.01e15",
            lambda: gaussian.confidence_region(
-               PriorModel("gaussian", tau=1.0), 1.01e9, 0.1))
+               PriorModel("gaussian", tau=1.0), 1.01e15, 0.1))
     yield ("acceptance_interval gaussian tau=1e-5", lambda:
            gaussian.acceptance_interval(PriorModel("gaussian", tau=1e-5), 0.0,
                                         0.1))
+    yield ("confidence_region gaussian tau=1.01e75", lambda:
+           gaussian.confidence_region(PriorModel("gaussian", tau=1.01e75),
+                                      0.0, 0.1))
     # grids past the 10^6-point cap
     yield "theta_grid binom grid=1e-9", lambda: nef.theta_grid(BINOM, 4, 1e-9)
     yield ("theta_grid multinom grid=1000",

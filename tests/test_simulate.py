@@ -92,6 +92,15 @@ def test_run_experiment_small():
         assert res.cell("flat", ls).coverage > 0.6
 
 
+def test_run_experiment_gaussian_prior_small_noise():
+    # sigma_y2 / n ~ 3e-12: standard errors near 2e-6, far below tau = 1
+    cfg = _config(sigma_y2=1e-10, log_sigma_beta_grid=(-1.0, 20.0),
+                  priors=("gaussian:tau=1",), reps=2)
+    res = run_experiment(cfg)
+    for c in res.cells:
+        assert c.mean_width > 0.0 and 0.0 <= c.coverage <= 1.0
+
+
 def test_run_experiment_deterministic():
     cfg = _config(reps=3)
     a = run_experiment(cfg)
