@@ -25,15 +25,17 @@ from fabcr.priors import PriorModel
 _ENDPOINT_TOL = 1e-8
 
 
-def _in_range(model, name, value):
+def _in_range(model, name, value, alpha=None):
     """value (y or theta0) as a finite float. DomainError unless sigma is in
     [1e-75, 1e75] and |value - loc| <= 1e75 sigma, where the kernels form no
     product past 1e300; for the Gaussian prior with a free tau, also unless
     tau is in [1e-4 sigma, 1e75] and |value - loc| <= 1e15 sigma: from about
     1e17 sigma, where floats near y lie sigma or more apart, a region that
-    the prior pulls away from y can fall between two of them, and below
-    that tau the region near loc is finer than floats resolve there unless
-    |loc| is small."""
+    the prior pulls away from y can fall between two of them. For a region
+    at level `alpha` with a free tau, also unless the float spacing at loc
+    is at most (1 - alpha) tau^2 / sigma, the scale of the region near loc:
+    in sweeps the focal point fell outside its region from a spacing of
+    about 2.7 times that."""
     value = check_finite(name, value)
     s, tau = model.sigma, model.tau
     reach = 1e75 if tau is None else 1e15
@@ -44,6 +46,12 @@ def _in_range(model, name, value):
                           "and tau in [1e-4 sigma, 1e75]), got %s=%r, "
                           "loc=%r, sigma=%r, tau=%r"
                           % (name, name, value, model.loc, s, tau))
+    if alpha is not None and tau is not None \
+            and math.ulp(model.loc) > (1.0 - alpha) * tau * tau / s:
+        raise DomainError("need the float spacing at loc to be at most (1 - "
+                          "alpha) tau^2 / sigma, got %r at loc=%r with "
+                          "alpha=%r, sigma=%r, tau=%r"
+                          % (math.ulp(model.loc), model.loc, alpha, s, tau))
     return value
 
 
@@ -351,7 +359,7 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
     DomainError.
     """
     alpha = check_alpha(alpha)
-    y = _in_range(model, "y", y)
+    y = _in_range(model, "y", y, alpha)
     if scan_step is not None:
         scan_step = check_positive("scan_step", scan_step)
     cap = _search_cap(model, y)

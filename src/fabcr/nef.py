@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+import numpy as np
+
 from fabcr import _core
 from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
                           SpecParseError, check_alpha, check_count,
@@ -33,6 +35,8 @@ _FAMILY_PARAMS = {"binom": ("n", "a", "b"), "poisson": ("a", "p"),
 _FAMILY_FIELDS = sorted(set().union(*_FAMILY_PARAMS.values()))
 
 _TIE_REL = 1e-12
+# matrix elements (grid rows x support points) evaluated at once
+_BLOCK = 4096
 
 
 def _compositions(total, k, least):
@@ -194,36 +198,15 @@ class NefModel:
         z = sum(ws)
         return tuple(w / z for w in ws)
 
-    def _log_pmf(self, eta, y):
-        """log f_eta(y) on the support."""
+    def _psi(self, eta):
+        """The log-partition function psi(eta)."""
         if self.family == "binom":
-            n = self.n
-            lbin = (_core.log_gamma(n + 1.0) - _core.log_gamma(y + 1.0)
-                    - _core.log_gamma(n - y + 1.0))
-            return lbin + y * eta - n * math.log1p(math.exp(eta)) \
-                if eta < 500 else lbin + (y - n) * eta
+            return self.n * math.log1p(math.exp(eta)) if eta < 500 else self.n * eta
         if self.family == "poisson":
-            theta = math.exp(eta)
-            return y * eta - theta - _core.log_gamma(y + 1.0)
-        n = self.n
-        out = _core.log_gamma(n + 1.0)
-        theta = self.mean_map(eta)
-        for v, t in zip(y, theta):
-            out += v * math.log(t) - _core.log_gamma(v + 1.0)
-        return out
-
-    def _lam_eta(self, eta, y):
-        """lambda(y) - eta . y + psi(eta) (the NP sorting statistic)."""
-        if self.family == "binom":
-            psi = self.n * math.log1p(math.exp(eta)) if eta < 500 else self.n * eta
-            return self.lam(y) - eta * y + psi
-        if self.family == "poisson":
-            return self.lam(y) - eta * y + math.exp(eta)
-        es = tuple(eta)
-        m = max(es + (0.0,))
-        psi = self.n * (m + math.log(sum(math.exp(e - m) for e in es + (0.0,))))
-        dot = sum(e * v for e, v in zip(es, y[:-1]))
-        return self.lam(y) - dot + psi
+            return math.exp(eta)
+        es = tuple(eta) + (0.0,)
+        m = max(es)
+        return self.n * (m + math.log(sum(math.exp(e - m) for e in es)))
 
     def fab_estimator(self, y):
         """(eta_hat, theta_hat): posterior-mean natural parameter and its
@@ -251,6 +234,89 @@ class DiscreteAcceptanceSet:
         return y in self.members
 
 
+def _terms(model, support):
+    """The eta-free parts of lambda_eta and log f_eta at each support point,
+    computed once per support: (points as floats, lambda(y), base), base
+    being log C(n, y) (binomial), log y! (Poisson) or, for the multinomial,
+    (log n!, the log y_j! of each cell)."""
+    lg = _core.log_gamma
+    ys = np.array(support, dtype=float)
+    lam = np.array([model.lam(y) for y in support])
+    if model.family == "binom":
+        head, n = lg(model.n + 1.0), model.n
+        base = np.array([head - lg(y + 1.0) - lg(n - y + 1.0) for y in support])
+    elif model.family == "poisson":
+        base = np.array([lg(y + 1.0) for y in support])
+    else:
+        base = (lg(model.n + 1.0),
+                np.array([[lg(v + 1.0) for v in y] for y in support]))
+    return ys, lam, base
+
+
+def _rows(model, terms, etas):
+    """(lambda_eta, log f_eta): one row per natural parameter in `etas`, one
+    column per support point of `terms`. numpy does only the correctly
+    rounded +, - and x, in the order of the scalar formulas, and the
+    per-row transcendentals (psi, log theta_j) come from `math`, so each
+    entry is the same float at any block size and on any CPU."""
+    ys, lam, base = terms
+    psi = np.array([model._psi(eta) for eta in etas])[:, None]
+    es = np.array(etas)
+    if model.family == "multinom":
+        # the dot product eta . y left to right, column by column (np.dot
+        # may use BLAS or fused multiply-adds)
+        dot = es[:, :1] * ys[:, 0]
+        for j in range(1, model.k - 1):
+            dot = dot + es[:, j:j + 1] * ys[:, j]
+        logt = np.array([[math.log(t) for t in model.mean_map(eta)]
+                         for eta in etas])
+        head, cells = base
+        lp = head
+        for j in range(model.k):
+            lp = lp + (ys[:, j] * logt[:, j:j + 1] - cells[:, j])
+        return (lam - dot) + psi, lp
+    ey = es[:, None] * ys
+    if model.family == "poisson":
+        return (lam - ey) + psi, (ey - psi) - base
+    lp = (base + ey) - psi
+    for r in np.flatnonzero(es >= 500):
+        # psi = n eta there, and the pmf takes the (y - n) eta form
+        lp[r] = base + (ys - model.n) * es[r]
+    return (lam - ey) + psi, lp
+
+
+def _accepted(model, terms, etas, alpha, sizes=None):
+    """(members, coverage) of the acceptance sets at each natural parameter
+    in `etas`: a (rows x support) boolean matrix and each set's summed null
+    mass. Each row is sorted stably by lambda_eta (the support is in
+    ascending order, so ties fall in the order of y), its masses are
+    exponentiated with `math.exp` and summed in that order, and a point is
+    a member unless some prefix reaches 1 - alpha and its lambda_eta lies
+    past the tie cutoff of the first such prefix. `sizes` limits each row
+    to its first sizes[r] points (the Poisson support grows with theta)."""
+    lv, lp = _rows(model, terms, etas)
+    if sizes is not None:
+        beyond = np.arange(lv.shape[1]) >= np.array(sizes)[:, None]
+        lv[beyond], lp[beyond] = math.inf, -math.inf
+    order = np.argsort(lv, axis=1, kind="stable")
+    ranked = np.take_along_axis(lv, order, axis=1)
+    mass = np.fromiter(map(math.exp, np.take_along_axis(lp, order, axis=1)
+                           .ravel().tolist()), float, lp.size)
+    mass = np.cumsum(mass.reshape(lp.shape), axis=1)
+    reached = mass >= 1.0 - alpha
+    rows = np.arange(len(etas))
+    level = ranked[rows, reached.argmax(axis=1)]
+    cutoff = np.where(reached.any(axis=1),
+                      level + _TIE_REL * np.maximum(1.0, np.abs(level)), math.inf)
+    members = lv <= cutoff[:, None]
+    coverage = mass[rows, members.sum(axis=1) - 1]
+    if model.family == "poisson" and not np.isfinite(cutoff).all():
+        r = int(np.argmax(cutoff))
+        raise NumericalError("poisson truncation insufficient", eta=etas[r],
+                             mass=float(coverage[r]))
+    return members, coverage
+
+
 def acceptance_set(model: NefModel, eta, alpha):
     """Smallest-lambda_eta acceptance set with null mass >= 1 - alpha.
 
@@ -262,23 +328,11 @@ def acceptance_set(model: NefModel, eta, alpha):
     """
     alpha = check_alpha(alpha)
     support = model.support(eta=eta if model.family == "poisson" else None)
-    target = 1.0 - alpha
-    acc = 0.0
-    cutoff = None
-    members = []
-    for lv, y in sorted((model._lam_eta(eta, y), y) for y in support):
-        if cutoff is not None and lv > cutoff:
-            break
-        members.append(y)
-        acc += math.exp(model._log_pmf(eta, y))
-        if cutoff is None and acc >= target:
-            cutoff = lv + _TIE_REL * max(1.0, abs(lv))
-    if cutoff is None and model.family == "poisson":
-        raise NumericalError("poisson truncation insufficient", eta=eta,
-                             mass=acc)
-    members.sort()
-    return DiscreteAcceptanceSet(eta=eta, alpha=alpha, members=tuple(members),
-                                 attained_coverage=acc)
+    members, coverage = _accepted(model, _terms(model, support), [eta], alpha)
+    return DiscreteAcceptanceSet(
+        eta=eta, alpha=alpha,
+        members=tuple(y for y, m in zip(support, members[0]) if m),
+        attained_coverage=float(coverage[0]))
 
 
 @dataclass(frozen=True)
@@ -339,8 +393,45 @@ def _zero_accepted_below(model, theta, alpha):
     if -math.expm1(-theta) < 1.0 - alpha - 1e-9:
         return True
     eta = model.eta_of_theta(theta)
-    first = min(model.support(eta=eta), key=lambda v: (model._lam_eta(eta, v), v))
-    return first == 0
+    support = model.support(eta=eta)
+    lv = _rows(model, _terms(model, support), [eta])[0][0]
+    return support[int(np.argmin(lv))] == 0
+
+
+def _blocks(model, thetas, size):
+    """The natural parameters of the grid points in consecutive blocks of
+    at most _BLOCK matrix elements (or one row), with each row's support
+    size: `size` for every row, or the row's own Poisson support."""
+    etas, sizes = [], []
+    for theta in thetas:
+        eta = model.eta_of_theta(theta)
+        if model.family == "poisson":
+            size = len(model.support(eta=eta))
+        if etas and (len(etas) + 1) * max(size, sizes[-1]) > _BLOCK:
+            yield etas, sizes
+            etas, sizes = [], []
+        etas.append(eta)
+        sizes.append(size)
+    yield etas, sizes
+
+
+def _grid_flags(model, y, thetas, alpha):
+    """Whether y is in `acceptance_set(model, eta_of_theta(theta), alpha)` at
+    each theta of `thetas`, block by block over terms computed once."""
+    poisson = model.family == "poisson"
+    # the widest support: the Poisson's m grows with theta
+    support = model.support(eta=model.eta_of_theta(thetas[-1]) if poisson
+                            else None)
+    terms = _terms(model, support)
+    col = support.index(y)
+    flags = []
+    for etas, sizes in _blocks(model, thetas, len(support)):
+        width = max(sizes)
+        part = tuple(t[:width] for t in terms) if poisson else terms
+        members = _accepted(model, part, etas, alpha, sizes)[0]
+        # a Poisson y past every row's support is in none of the sets
+        flags += members[:, col].tolist() if col < width else [False] * len(etas)
+    return flags
 
 
 def theta_grid(model: NefModel, y, grid=None):
@@ -415,8 +506,7 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     y = model.observation(y)
     step, thetas = theta_grid(model, y, grid)
     eta_hat, theta_hat = model.fab_estimator(y)
-    flags = [y in acceptance_set(model, model.eta_of_theta(t), alpha).members
-             for t in thetas]
+    flags = _grid_flags(model, y, thetas, alpha)
     member = y in acceptance_set(model, eta_hat, alpha).members
 
     if model.family == "multinom":

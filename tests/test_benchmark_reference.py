@@ -4,9 +4,9 @@ The benchmark (`perfbench/`) fails a run whose outputs leave the tolerances
 of `perfbench/check.py` around `perfbench/reference/<workload>.json`. These
 tests run the same check on the whole region_mix pool (832 ops: regions
 over every prior kind, band and alpha, p-value curves and limit intervals)
-and on the nef_mix groups whose check is exact (Sterne binomials at n = 8
-and small multinomials, whose cell sets must match exactly), so a change
-that moves such an output fails here first.
+and on the whole nef_mix pool (69 ops: binomials at n = 8, 30 and 100,
+Poisson counts and multinomials), so a change that moves such an output
+fails here first.
 """
 
 import json
@@ -42,10 +42,21 @@ def test_region_mix_pool_matches_references():
     assert ran == nrefs == 832
 
 
+_EXACT = ("binom8_sterne", "multinom3_n3", "multinom4_n1")
+
+
 def test_nef_mix_exact_groups_match_references():
     # multinomial cell masses are grid rationals, so the cumulative mass can
     # land exactly on 1 - alpha: an ULP-level change in the log-pmf
     # arithmetic flips cell membership, and only this exact check sees it
-    groups = ("binom8_sterne", "multinom3_n3", "multinom4_n1")
-    ran, _ = _check_pool("nef_mix", lambda op: op.get("group") in groups)
+    ran, _ = _check_pool("nef_mix", lambda op: op.get("group") in _EXACT)
     assert ran == 17
+
+
+def test_nef_mix_other_groups_match_references():
+    # the rest of the pool: binomials at n = 8, 30 and 100 and Poisson
+    # counts, whose interval ends are checked to a grid step, and the n = 10
+    # multinomials, whose cell sets are checked exactly
+    ran, nrefs = _check_pool("nef_mix", lambda op: op["cat"] != W.PROBE
+                             and op.get("group") not in _EXACT)
+    assert ran + 17 == nrefs == 69

@@ -274,6 +274,26 @@ def test_gaussian_prior_region_far_out_with_a_free_tau(tau_ratio):
         confidence_region(m, loc + 1.01e15 * sigma, 0.1)
 
 
+@pytest.mark.parametrize("tau, loc, alpha", [
+    (1e-4, 1e9, 0.1), (1e-3, 1e12, 0.1), (1e-3, 1e11, 0.9)])
+def test_gaussian_prior_refuses_a_region_finer_than_floats_at_loc(
+        tau, loc, alpha):
+    # the region near loc is about (1 - alpha) tau^2 / sigma wide; where
+    # floats at loc are coarser, the focal point fell outside its region
+    # ("focal point not in its own region")
+    m = PriorModel("gaussian", sigma=1.0, tau=tau, loc=loc)
+    assert math.ulp(loc) > (1.0 - alpha) * tau ** 2
+    with pytest.raises(DomainError, match="float spacing at loc"):
+        confidence_region(m, loc + 3.0, alpha)
+
+
+@pytest.mark.parametrize("tau, loc", [(1e-3, 1e9), (1e-4, 1e6)])
+def test_gaussian_prior_answers_where_floats_resolve_the_region(tau, loc):
+    m = PriorModel("gaussian", sigma=1.0, tau=tau, loc=loc)
+    reg = confidence_region(m, loc + 3.0, 0.1)
+    assert loc <= reg.lo <= reg.focal <= reg.hi < loc + 5.0
+
+
 def test_gaussian_prior_tau_far_above_sigma():
     # tau / sigma = 1e6: a regression coefficient with standard error 1e-6
     # under gaussian:tau=1 gives nearly the z-interval

@@ -101,6 +101,9 @@ def _cases():
     yield ("confidence_region gaussian tau=1.01e75", lambda:
            gaussian.confidence_region(PriorModel("gaussian", tau=1.01e75),
                                       0.0, 0.1))
+    yield ("confidence_region gaussian tau=1e-4 loc=1e9", lambda:
+           gaussian.confidence_region(
+               PriorModel("gaussian", tau=1e-4, loc=1e9), 1e9 + 3.0, 0.1))
     # grids past the 10^6-point cap
     yield "theta_grid binom grid=1e-9", lambda: nef.theta_grid(BINOM, 4, 1e-9)
     yield ("theta_grid multinom grid=1000",

@@ -2,19 +2,21 @@
 
 Independent oracles use scipy.stats pmfs: the acceptance set must equal the
 set kept when outcomes are ranked by the marginal-to-null likelihood ratio.
+The batched grid pass is compared, bit for bit, with the scalar loop that
+builds one acceptance set at a time.
 """
 
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from fabcr.errors import DomainError, NumericalError, SpecParseError
-from fabcr.nef import (NefModel, acceptance_set, confidence_region_nef,
-                       parse_family, theta_grid)
-from fabcr import _core
+from fabcr.nef import (NefModel, _grid_flags, acceptance_set,
+                       confidence_region_nef, parse_family, theta_grid)
+from fabcr import _core, nef
 
 EULER = 0.57721566490153286061
 
@@ -547,3 +549,110 @@ def test_discrete_coverage_lower_bound():
         aset = acceptance_set(m, m.eta_of_theta(theta), 0.1)
         cov = sum(stats.binom.pmf(y, 8, theta) for y in aset.members)
         assert cov >= 0.9 - 1e-12, (theta, cov)
+
+
+# -- the batched grid pass against the scalar loop ---------------------------
+
+
+def _scalar_lam_eta(m, eta, y):
+    """lambda(y) - eta . y + psi(eta), one point at a time."""
+    if m.family == "binom":
+        psi = m.n * math.log1p(math.exp(eta)) if eta < 500 else m.n * eta
+        return m.lam(y) - eta * y + psi
+    if m.family == "poisson":
+        return m.lam(y) - eta * y + math.exp(eta)
+    es = tuple(eta) + (0.0,)
+    top = max(es)
+    psi = m.n * (top + math.log(sum(math.exp(e - top) for e in es)))
+    dot = 0.0
+    for e, v in zip(eta, y[:-1]):
+        dot += e * v
+    return m.lam(y) - dot + psi
+
+
+def _scalar_log_pmf(m, eta, y):
+    lg = _core.log_gamma
+    if m.family == "binom":
+        lbin = lg(m.n + 1.0) - lg(y + 1.0) - lg(m.n - y + 1.0)
+        return lbin + y * eta - m.n * math.log1p(math.exp(eta)) \
+            if eta < 500 else lbin + (y - m.n) * eta
+    if m.family == "poisson":
+        return y * eta - math.exp(eta) - lg(y + 1.0)
+    out = lg(m.n + 1.0)
+    for v, t in zip(y, m.mean_map(eta)):
+        out += v * math.log(t) - lg(v + 1.0)
+    return out
+
+
+def _scalar_acceptance(m, eta, alpha):
+    """(members, summed mass): the support sorted by (lambda_eta, y), taken
+    until the mass reaches 1 - alpha, with the points tied to the cutoff."""
+    support = m.support(eta=eta if m.family == "poisson" else None)
+    acc, cutoff, members = 0.0, None, []
+    for lv, y in sorted((_scalar_lam_eta(m, eta, y), y) for y in support):
+        if cutoff is not None and lv > cutoff:
+            break
+        members.append(y)
+        acc += math.exp(_scalar_log_pmf(m, eta, y))
+        if cutoff is None and acc >= 1.0 - alpha:
+            cutoff = lv + 1e-12 * max(1.0, abs(lv))
+    return sorted(members), acc
+
+
+_ORACLE_SHAPE = st.sampled_from((0.3, 0.5, 1.0, 2.0, 3.5))
+
+
+@st.composite
+def _observed_families(draw):
+    family = draw(st.sampled_from(("binom", "poisson", "multinom")))
+    if family == "binom":
+        m = NefModel("binom", n=draw(st.integers(1, 40)),
+                     a=(draw(_ORACLE_SHAPE),), b=draw(_ORACLE_SHAPE))
+        return m, draw(st.integers(0, m.n)), 0.02
+    if family == "poisson":
+        m = NefModel("poisson", a=(draw(_ORACLE_SHAPE),),
+                     p=draw(st.sampled_from((0.1, 0.3, 0.5, 0.9))))
+        return m, draw(st.integers(0, 20)), 0.1
+    k, n = draw(st.integers(2, 4)), draw(st.integers(1, 10))
+    m = NefModel("multinom", n=n, a=tuple(draw(_ORACLE_SHAPE) for _ in range(k)))
+    return m, draw(st.sampled_from(m.support())), 10
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_observed_families(), st.sampled_from((0.05, 0.1, 0.2)))
+def test_batched_grid_flags_equal_the_scalar_loop(observed, alpha):
+    # exact equality: the batched pass does the same float operations
+    m, y, grid = observed
+    _, thetas = theta_grid(m, y, grid)
+    scalar = [_scalar_acceptance(m, m.eta_of_theta(t), alpha) for t in thetas]
+    assert _grid_flags(m, y, thetas, alpha) == [y in s[0] for s in scalar]
+    for theta, (members, acc) in zip(thetas[::7], scalar[::7]):
+        eta = m.eta_of_theta(theta)
+        got = acceptance_set(m, eta, alpha)
+        assert list(got.members) == members
+        assert got.attained_coverage == acc
+        support = m.support(eta=eta)
+        lv, lp = nef._rows(m, nef._terms(m, support), [eta])
+        assert lv[0].tolist() == [_scalar_lam_eta(m, eta, v) for v in support]
+        assert lp[0].tolist() == [_scalar_log_pmf(m, eta, v) for v in support]
+
+
+def test_region_work_is_per_support_point(monkeypatch):
+    # lambda(y) and the log binomial coefficients are computed once per
+    # support, and acceptance_set runs once, for the check at eta-hat: the
+    # grid does not rebuild an acceptance set per theta
+    calls = {"log_gamma": 0, "acceptance_set": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_core, "log_gamma", counted("log_gamma", _core.log_gamma))
+    monkeypatch.setattr(nef, "acceptance_set",
+                        counted("acceptance_set", nef.acceptance_set))
+    n = 30
+    confidence_region_nef(parse_family("binom:n=%d,a=0.5,b=2" % n), 11, 0.1)
+    assert calls["acceptance_set"] == 1
+    assert calls["log_gamma"] <= 10 * (n + 1) + 10
