@@ -14,8 +14,8 @@ limit is the classical z-interval and the drift vanishes.
 from dataclasses import dataclass
 
 from fabcr import _core
-from fabcr.errors import (DomainError, UnsupportedModelError, check_alpha,
-                          check_finite)
+from fabcr.errors import (DomainError, NumericalError, UnsupportedModelError,
+                          check_alpha, check_finite)
 from fabcr.gaussian import _bisect
 from fabcr.priors import PriorModel
 
@@ -79,6 +79,10 @@ def limit_interval(model: PriorModel, alpha, direction="+inf"):
     if not (0.0 < c <= _core.norm_cdf(-prof.kappa)):
         raise UnsupportedModelError(
             "limit weight c=%r outside (0, Phi(-kappa)]" % (c,))
+    if 1.0 - alpha * c == 1.0:
+        raise NumericalError("limit weight too small to resolve: 1 - alpha "
+                             "c rounds to 1", alpha=alpha, c_alpha=c,
+                             kappa=prof.kappa, prior=model.spec_string())
     # toward +inf the region reaches further on the shrinkage (lower) side
     lo = -s * _core.norm_quantile(1.0 - alpha * c)
     hi = s * _core.norm_quantile(1.0 - alpha * (1.0 - c))

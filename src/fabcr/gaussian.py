@@ -187,23 +187,18 @@ def _solve(model: PriorModel, theta0, alpha):
 # The acceptance set is {t : lam(t) <= k} with lam(t) = l(t) +
 # (t - theta0)^2 / (2 sigma^2), a strictly convex function whose minimiser
 # y* satisfies posterior_mean(y*) = theta0 (Pratt 1961). The null mass
-# outside the sublevel set at k = lam(y) is the p-value of theta0, which
-# stays well-conditioned when the tail weight underflows.
+# outside the sublevel set through y is the p-value of theta0, which stays
+# well-conditioned when the tail weight underflows. Each end of a sublevel
+# set fixes the other, its partner point, so no set needs a level search.
 #
 # For the Gaussian prior lam is a parabola with vertex y* = theta0 + sigma u,
-# u = sigma (theta0 - loc) / tau^2, so each sublevel set is symmetric about
-# y* and needs no level: a level of size (y / sigma)^2 would leave its roots
-# only a few digits far from the prior location.
+# u = sigma (theta0 - loc) / tau^2, so the partner point is the mirror image
+# about y* and needs no level: a level of size (y / sigma)^2 would leave its
+# roots only a few digits far from the prior location.
 
 def _lam(model, theta0, y):
     d = y - theta0
     return model.log_marginal(y) + d * d / (2.0 * model.sigma ** 2)
-
-
-def _vertex_offset(model, theta0):
-    """u = (y* - theta0) / sigma for the Gaussian prior."""
-    tau = model._kernel_args()[1]
-    return (theta0 - model.loc) / tau * (model.sigma / tau)
 
 
 def _tail_mass(lo, hi):
@@ -235,58 +230,57 @@ def _lam_root(model, theta0, level, start, direction):
     return _bisect(below, inner, outer, 1e-12 * model.sigma)
 
 
-def _outside_mass(model, theta0, level, ystar):
-    """Null mass outside the sublevel set {t : lam(t) <= level}, the interval
-    [a, b] around the minimiser ystar; returns (mass, a, b)."""
-    a = _lam_root(model, theta0, level, ystar, -1.0)
-    b = _lam_root(model, theta0, level, ystar, +1.0)
+def _sublevel(model, theta0):
+    """The sublevel sets of lam in sigma units z = (t - theta0) / sigma:
+    returns lam's minimiser z* and the map from one end z of a sublevel set
+    to its other end (z itself where z is numerically z*)."""
     s = model.sigma
-    return _tail_mass((a - theta0) / s, (b - theta0) / s), a, b
+    if model.kind == "gaussian":
+        tau = model._kernel_args()[1]
+        u = (theta0 - model.loc) / tau * (s / tau)
+        return u, lambda z: 2.0 * u - z
+    ystar = _lam_minimizer(model, theta0)
+    bottom = _lam(model, theta0, ystar)
+
+    def partner(z):
+        t = theta0 + s * z
+        level = _lam(model, theta0, t)
+        if level <= bottom:
+            return z
+        direction = 1.0 if t < ystar else -1.0
+        return (_lam_root(model, theta0, level, ystar, direction)
+                - theta0) / s
+
+    return (ystar - theta0) / s, partner
 
 
 def _p_value(model, theta0, y):
     """p(theta0) = P_theta0(lam(Y) >= lam(y)), the largest alpha whose
-    acceptance interval at theta0 holds y."""
-    if model.kind == "gaussian":
-        # the sublevel set through y ends at y and at its mirror image
-        z, u = (y - theta0) / model.sigma, _vertex_offset(model, theta0)
-        return min(1.0, _tail_mass(min(z, 2.0 * u - z), max(z, 2.0 * u - z)))
-    ystar = _lam_minimizer(model, theta0)
-    level = _lam(model, theta0, y)
-    if _lam(model, theta0, ystar) >= level:
-        return 1.0  # y is (numerically) the minimiser itself
-    return _outside_mass(model, theta0, level, ystar)[0]
+    acceptance interval at theta0 holds y: the null mass outside the
+    sublevel set through y, which ends at y and at its partner point."""
+    z = (y - theta0) / model.sigma
+    w = _sublevel(model, theta0)[1](z)
+    return 1.0 if w == z else min(1.0, _tail_mass(min(z, w), max(z, w)))
 
 
 def _np_interval(model, theta0, alpha):
-    """Acceptance bounds via bisection on the cutoff level (for the Gaussian
-    prior, on the near end of the symmetric sublevel set)."""
-    context = dict(theta0=theta0, alpha=alpha, prior=model.spec_string())
-    if model.kind == "gaussian":
-        # in sigma units about theta0, mirrored so that the vertex m >= 0:
-        # march the lower end z of [z, 2m - z] down from the vertex
-        u = _vertex_offset(model, theta0)
-        m = abs(u)
+    """Acceptance bounds by bisection on the end of the sublevel set on
+    theta0's side of lam's minimiser, stepping from the minimiser toward
+    theta0 until the null mass outside the set falls to alpha."""
+    zstar, partner = _sublevel(model, theta0)
 
-        def short_z(z):
-            return _tail_mass(z, 2.0 * m - z) > alpha
+    def ends(z):
+        w = partner(z)
+        return min(z, w), max(z, w)
 
-        z = _bisect(short_z, *_march(short_z, m, -1.0, 1.0, **context), 1e-12)
-        lo, hi = (u - m) + z, (u + m) - z
-        return (_core.norm_cdf(lo) / alpha, theta0 + model.sigma * lo,
-                theta0 + model.sigma * hi)
-    ystar = _lam_minimizer(model, theta0)
+    def short(z):
+        return _tail_mass(*ends(z)) > alpha
 
-    def short(k):
-        return _outside_mass(model, theta0, k, ystar)[0] > alpha
-
-    lo_k, hi_k = _march(short, _lam(model, theta0, ystar), 1.0, 1.0,
-                        **context)
-    # relative tolerance on the level, taken at the bracket end nearer zero
-    k = _bisect(short, lo_k, hi_k, 1e-13 * max(1.0, min(abs(lo_k), abs(hi_k))))
-    _, a, b = _outside_mass(model, theta0, k, ystar)
-    w = _core.norm_cdf((a - theta0) / model.sigma) / alpha
-    return w, a, b
+    bracket = _march(short, zstar, -1.0 if zstar >= 0.0 else 1.0, 1.0,
+                     theta0=theta0, alpha=alpha, prior=model.spec_string())
+    lo, hi = ends(_bisect(short, *bracket, 1e-12))
+    return (_core.norm_cdf(lo) / alpha, theta0 + model.sigma * lo,
+            theta0 + model.sigma * hi)
 
 
 def weight(model: PriorModel, theta0, alpha):

@@ -6,7 +6,7 @@ The frozen c_alpha table was computed by 40-digit bisection in mpmath.
 import pytest
 
 from fabcr import _core
-from fabcr.errors import DomainError, UnsupportedModelError
+from fabcr.errors import DomainError, NumericalError, UnsupportedModelError
 from fabcr.asymptotics import (c_alpha, focal_drift, g_alpha, g_alpha_inv,
                                limit_interval)
 from fabcr.gaussian import confidence_region
@@ -144,6 +144,17 @@ def test_limit_interval_bad_args():
         limit_interval(m, 0.0)
     with pytest.raises(DomainError):
         limit_interval(m, 0.1, direction="up")
+
+
+@pytest.mark.parametrize("kappa,alpha", [(3.0, 0.01), (4.0, 0.1),
+                                         (4.0, 0.01)])
+def test_limit_interval_refuses_unresolved_weight(kappa, alpha):
+    # alpha * c_alpha is below half an ulp of 1, so 1 - alpha c rounds to 1
+    # and the quantile of the lower offset is undefined
+    with pytest.raises(NumericalError, match="too small to resolve") as exc:
+        limit_interval(parse_prior("laplace:kappa=%g" % kappa), alpha)
+    assert exc.value.diagnostics["kappa"] == kappa
+    assert exc.value.diagnostics["alpha"] == alpha
 
 
 # -- agreement with directly computed regions -------------------------------

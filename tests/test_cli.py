@@ -283,6 +283,14 @@ def test_limits_rejects_gaussian(runner):
     assert res.exit_code == 2
 
 
+def test_limits_unresolved_weight_exits_3(runner):
+    res = runner.invoke(main, ["limits", "--prior", "laplace:kappa=4",
+                               "--alpha", "0.1"])
+    assert res.exit_code == 3, res.output
+    assert "numerical failure" in res.output
+    assert isinstance(res.exception, SystemExit)
+
+
 # -- regress ----------------------------------------------------------------
 
 

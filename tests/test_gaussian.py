@@ -11,8 +11,8 @@ from conftest import CATALOG_SPECS
 from fabcr import _core
 from fabcr.errors import DomainError, NumericalError
 from fabcr.gaussian import (_ENDPOINT_TOL, AcceptanceInterval,
-                            ConfidenceRegion, _bisect, _march, _np_interval,
-                            _solve, acceptance_interval,
+                            ConfidenceRegion, _bisect, _DegenerateWeight,
+                            _march, _np_interval, _solve, acceptance_interval,
                             confidence_region, focal_point, p_value_curve,
                             weight, z_interval)
 from fabcr.priors import PriorModel, parse_prior
@@ -77,6 +77,24 @@ def test_weight_degenerate_regime_gaussian_prior():
         assert abs(mass - 0.9) < 1e-8
         assert ai.lo < theta0 < ai.hi
         assert abs(_lam(m, theta0, ai.lo) - _lam(m, theta0, ai.hi)) < 1e-6
+
+
+@pytest.mark.parametrize("kappa", [3, 4])
+def test_weight_degenerate_regime_generic_prior(kappa):
+    # far out the Laplace weight tends to c_alpha < 1e-8, so the interval
+    # comes from the cutoff path of a prior other than the Gaussian
+    m = parse_prior("laplace:kappa=%d" % kappa, sigma=0.7)
+    for theta0 in (-30.0, 12.0, 500.0):
+        for alpha in (0.01, 0.1):
+            with pytest.raises(_DegenerateWeight):
+                _solve(m, theta0, alpha)
+            ai = acceptance_interval(m, theta0, alpha)
+            outside = (_core.norm_cdf((ai.lo - theta0) / m.sigma)
+                       + _core.norm_cdf((theta0 - ai.hi) / m.sigma))
+            assert abs(outside - alpha) <= 1e-12, (theta0, alpha, outside)
+            lam_lo, lam_hi = _lam(m, theta0, ai.lo), _lam(m, theta0, ai.hi)
+            assert abs(lam_lo - lam_hi) <= 1e-14 * max(1.0, abs(lam_lo)), \
+                (theta0, alpha, lam_lo, lam_hi)
 
 
 @pytest.mark.parametrize("spec", ["horseshoe", "laplace:kappa=1",

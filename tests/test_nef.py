@@ -216,18 +216,20 @@ def test_grad_lambda_finite_inside_extended_domain(spec, y):
 # -- acceptance sets vs independent likelihood-ratio oracle -----------------
 
 
-def _oracle_members(null_pmf, marginal_pmf, support, alpha):
+def _oracle_members(null_logpmf, marginal_logpmf, support, alpha):
     """Keep the support points with the smallest marginal/null ratio until
-    the null mass reaches 1 - alpha; include ties."""
-    scored = sorted(((marginal_pmf(y) / null_pmf(y), y) for y in support))
-    acc, cutoff, members = 0.0, None, []
-    for r, y in scored:
-        if cutoff is not None and r > cutoff * (1.0 + 1e-9):
+    the null mass reaches 1 - alpha; include ties. The ratio is ranked by
+    its log, which stays finite where the null pmf underflows."""
+    scored = sorted(((marginal_logpmf(y) - null_logpmf(y), y)
+                     for y in support))
+    acc, lcut, members = 0.0, None, []
+    for lr, y in scored:
+        if lcut is not None and lr > lcut + math.log1p(1e-9):
             break
         members.append(y)
-        acc += null_pmf(y)
-        if cutoff is None and acc >= 1.0 - alpha:
-            cutoff = r
+        acc += math.exp(null_logpmf(y))
+        if lcut is None and acc >= 1.0 - alpha:
+            lcut = lr
     return sorted(members)
 
 
@@ -239,7 +241,7 @@ def test_binom_acceptance_matches_oracle(alpha, theta):
     got = acceptance_set(m, eta, alpha)
     null = stats.binom(12, theta)
     marg = stats.betabinom(12, 1.5, 2.0)
-    want = _oracle_members(null.pmf, marg.pmf, range(13), alpha)
+    want = _oracle_members(null.logpmf, marg.logpmf, range(13), alpha)
     assert list(got.members) == want, (alpha, theta)
     assert got.attained_coverage >= 1.0 - alpha - 1e-12
 
@@ -254,7 +256,7 @@ def test_poisson_acceptance_matches_oracle(alpha, theta):
     null = stats.poisson(theta)
     marg = stats.nbinom(a, p)  # gamma-mixed poisson marginal
     support = range(int(theta + 12 * math.sqrt(theta + 1) + 30))
-    want = _oracle_members(null.pmf, marg.pmf, support, alpha)
+    want = _oracle_members(null.logpmf, marg.logpmf, support, alpha)
     assert list(got.members) == want, (alpha, theta)
     assert got.attained_coverage >= 1.0 - alpha - 1e-12
 
@@ -265,20 +267,19 @@ def test_multinom_acceptance_matches_oracle():
     eta = m.eta_of_theta(theta)
     got = acceptance_set(m, eta, 0.1)
 
-    def null_pmf(y):
-        return math.exp(stats.multinomial(10, theta).logpmf(y))
+    def null_logpmf(y):
+        return stats.multinomial(10, theta).logpmf(y)
 
-    def marg_pmf(y):
+    def marg_logpmf(y):
         # dirichlet-multinomial via log-gamma, written out independently
         from scipy.special import gammaln
         a = (1.0, 1.0, 2.0)
-        out = (gammaln(11.0) - sum(gammaln(v + 1.0) for v in y)
-               + gammaln(sum(a)) - gammaln(sum(a) + 10.0)
-               + sum(gammaln(ai + v) - gammaln(ai) for ai, v in zip(a, y)))
-        return math.exp(out)
+        return (gammaln(11.0) - sum(gammaln(v + 1.0) for v in y)
+                + gammaln(sum(a)) - gammaln(sum(a) + 10.0)
+                + sum(gammaln(ai + v) - gammaln(ai) for ai, v in zip(a, y)))
 
     support = m.support()
-    want = _oracle_members(null_pmf, marg_pmf, support, 0.1)
+    want = _oracle_members(null_logpmf, marg_logpmf, support, 0.1)
     assert sorted(got.members) == want
 
 
@@ -368,8 +369,8 @@ def test_poisson_region_at_zero(spec, alpha):
     a, p = m.a[0], m.p
     first = theta_grid(m, 0, 1e-2)[1][0]
     for theta in (first * 0.9, first / 2, first / 10, 1e-6):
-        want = _oracle_members(stats.poisson(theta).pmf,
-                               stats.nbinom(a, p).pmf, range(40), alpha)
+        want = _oracle_members(stats.poisson(theta).logpmf,
+                               stats.nbinom(a, p).logpmf, range(40), alpha)
         assert 0 in want and reg.contains(theta), theta
 
 
@@ -382,8 +383,9 @@ def test_poisson_region_at_zero_below_the_default_window(alpha):
     assert reg.intervals[0][0] == 0.0 and reg.estimator_member
     hi = reg.intervals[-1][1]
     for theta in (1e-9, 1e-6, hi / 2, 0.95 * hi, 1.05 * hi, 2 * hi, 1.0):
-        want = _oracle_members(stats.poisson(theta).pmf,
-                               stats.nbinom(0.01, 0.5).pmf, range(25), alpha)
+        want = _oracle_members(stats.poisson(theta).logpmf,
+                               stats.nbinom(0.01, 0.5).logpmf, range(25),
+                               alpha)
         assert reg.contains(theta) == (0 in want), theta
 
 
