@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from fabcr import _core
 from fabcr.errors import (DomainError, NumericalError, UnsupportedModelError,
-                          check_alpha, check_finite)
+                          check_alpha, check_direction, check_finite)
 from fabcr.gaussian import _bisect
 from fabcr.priors import PriorModel
 
@@ -70,9 +70,7 @@ def _tail_or_raise(model: PriorModel):
 def limit_interval(model: PriorModel, alpha, direction="+inf"):
     """Limit of C_alpha(y) - y as y tends to +inf or -inf."""
     alpha = check_alpha(alpha)
-    if direction not in ("+inf", "-inf"):
-        raise DomainError("direction must be '+inf' or '-inf', got %r"
-                          % (direction,))
+    direction = check_direction(direction)
     prof = _tail_or_raise(model)
     s = model.sigma
     c = c_alpha(alpha, prof.kappa)
@@ -95,9 +93,7 @@ def limit_interval(model: PriorModel, alpha, direction="+inf"):
 def focal_drift(model: PriorModel, direction="+inf"):
     """Limit of y - posterior_mean(y): sigma * kappa toward +inf (mirrored
     toward -inf)."""
-    if direction not in ("+inf", "-inf"):
-        raise DomainError("direction must be '+inf' or '-inf', got %r"
-                          % (direction,))
+    direction = check_direction(direction)
     prof = _tail_or_raise(model)
     drift = model.sigma * prof.kappa
     return drift if direction == "+inf" else -drift

@@ -125,7 +125,7 @@ def nef_cmd(family_spec, y, alpha, grid, fmt):
     out = click.get_text_stream("stdout")
     if reg.intervals is not None:
         out.write("theta,member\n")
-        _, thetas = nef.theta_grid(model, reg.y, reg.grid)
+        _, thetas = nef.theta_grid(model, reg.y, reg.alpha, reg.grid)
         for t in thetas:
             out.write("%s,%d\n" % (_fmt(t), 1 if reg.contains(t) else 0))
     else:

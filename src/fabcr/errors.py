@@ -29,6 +29,15 @@ def check_alpha(alpha, closed_top=False):
     return alpha
 
 
+def check_direction(direction):
+    """direction, one of "+inf" and "-inf"; any other value raises
+    DomainError."""
+    if direction not in ("+inf", "-inf"):
+        raise DomainError("direction must be '+inf' or '-inf', got %r"
+                          % (direction,))
+    return direction
+
+
 def check_finite(name, value):
     """value as a float; a nan or an infinity raises DomainError."""
     value = float(value)

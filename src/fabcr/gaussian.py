@@ -163,6 +163,20 @@ def _bisect(inside_at, inside, outside, tol):
     return 0.5 * (inside + outside)
 
 
+def _runs(flags):
+    """(first, last) index of each run of true values in `flags`."""
+    runs, start = [], None
+    for i, flag in enumerate(flags):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(flags) - 1))
+    return runs
+
+
 class _DegenerateWeight(Exception):
     """The spending weight is closer to 0/1 than double precision resolves
     (Gaussian prior far from its location); use the cutoff formulation."""
@@ -386,17 +400,7 @@ def _scan_region(model, y, alpha, focal, cap, step):
     def member(t):
         return _membership(model, t, alpha, y)[0]
 
-    members = [member(lo_grid + i * step) for i in range(n)]
-    comps = []
-    start = None
-    for i, m in enumerate(members):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            comps.append((start, i - 1))
-            start = None
-    if start is not None:
-        comps.append((start, n - 1))
+    comps = _runs([member(lo_grid + i * step) for i in range(n)])
     if not comps:
         raise NumericalError("dense scan found an empty region", y=y,
                              alpha=alpha, prior=model.spec_string())

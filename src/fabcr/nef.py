@@ -25,6 +25,7 @@ from fabcr import _core
 from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
                           SpecParseError, check_alpha, check_count,
                           check_positive)
+from fabcr.gaussian import _runs
 from fabcr.priors import _parse_spec
 
 FAMILIES = ("binom", "poisson", "multinom")
@@ -89,21 +90,25 @@ class NefModel:
 
     def support(self, eta=None):
         """Support points: {0..n} for the binomial, the k-tuples of counts
-        summing to n for the multinomial. For the Poisson, {0..m} with m =
-        theta + 12 sqrt(theta + 1) + 30 (theta = exp(eta), or the prior mean
-        when eta is None): by Bernstein's inequality the null tail P(Y > m)
-        is below exp(-60) at every theta. An m above 1e8 raises
-        NumericalError before the support is built."""
+        summing to n for the multinomial, {0..m} for the Poisson, m being
+        `_poisson_top(eta)`."""
         if self.family == "binom":
             return list(range(self.n + 1))
         if self.family == "multinom":
             return _compositions(self.n, len(self.a), 0)
+        return list(range(self._poisson_top(eta) + 1))
+
+    def _poisson_top(self, eta=None):
+        """The last Poisson support point m = theta + 12 sqrt(theta + 1) + 30
+        (theta = exp(eta), or the prior mean when eta is None): by
+        Bernstein's inequality the null tail P(Y > m) is below exp(-60) at
+        every theta. An m above 1e8 raises NumericalError."""
         theta = math.exp(eta) if eta is not None else self.a[0] * (1 - self.p) / self.p
         m = int(theta + 12.0 * math.sqrt(theta + 1.0) + 30.0)
         if m > 10 ** 8:
             raise NumericalError("poisson support truncation runaway",
                                  theta=theta, support_max=m)
-        return list(range(m + 1))
+        return m
 
     # -- prior cumulant lambda and its gradient ----------------------------
 
@@ -294,6 +299,8 @@ def _accepted(model, terms, etas, alpha, sizes=None):
     a member unless some prefix reaches 1 - alpha and its lambda_eta lies
     past the tie cutoff of the first such prefix. `sizes` limits each row
     to its first sizes[r] points (the Poisson support grows with theta)."""
+    if sizes is not None:
+        terms = tuple(t[:max(sizes)] for t in terms)
     lv, lp = _rows(model, terms, etas)
     if sizes is not None:
         beyond = np.arange(lv.shape[1]) >= np.array(sizes)[:, None]
@@ -364,91 +371,59 @@ class NefRegion:
         return json.dumps(d)
 
 
-def _components(thetas, member_flags):
-    comps = []
-    start = None
-    for i, m in enumerate(member_flags):
-        if m and start is None:
-            start = i
-        elif not m and start is not None:
-            comps.append((thetas[start], thetas[i - 1]))
-            start = None
-    if start is not None:
-        comps.append((thetas[start], thetas[-1]))
-    return tuple(comps)
+def _blocks(sizes):
+    """[start, stop) runs of consecutive rows, each run holding at most
+    _BLOCK matrix elements (or one row) at the width of its widest row."""
+    start = width = 0
+    for r, size in enumerate(sizes):
+        width = max(width, size)
+        if r > start and (r - start + 1) * width > _BLOCK:
+            yield start, r
+            start, width = r, size
+    yield start, len(sizes)
 
 
-def _zero_accepted_below(model, theta, alpha):
-    """Whether the Poisson outcome y = 0 is accepted at every theta below
-    `theta`, by either of two sufficient conditions:
-
-    * the outcomes y' > 0 hold null mass 1 - exp(-theta) < 1 - alpha (less
-      a margin for the rounding of the summed masses), so the acceptance set
-      reaches 0 before its target mass;
-    * 0 sorts first on the support at `theta`: lambda_eta(y') -
-      lambda_eta(0) = lambda(y') - lambda(0) - eta y' grows as eta falls and
-      is convex in y' (log-gamma is), so 0 then sorts first among all
-      outcomes at every smaller theta.
-    """
-    if -math.expm1(-theta) < 1.0 - alpha - 1e-9:
-        return True
-    eta = model.eta_of_theta(theta)
-    support = model.support(eta=eta)
-    lv = _rows(model, _terms(model, support), [eta])[0][0]
-    return support[int(np.argmin(lv))] == 0
-
-
-def _blocks(model, thetas, size):
-    """The natural parameters of the grid points in consecutive blocks of
-    at most _BLOCK matrix elements (or one row), with each row's support
-    size: `size` for every row, or the row's own Poisson support."""
-    etas, sizes = [], []
-    for theta in thetas:
-        eta = model.eta_of_theta(theta)
-        if model.family == "poisson":
-            size = len(model.support(eta=eta))
-        if etas and (len(etas) + 1) * max(size, sizes[-1]) > _BLOCK:
-            yield etas, sizes
-            etas, sizes = [], []
-        etas.append(eta)
-        sizes.append(size)
-    yield etas, sizes
-
-
-def _grid_flags(model, y, thetas, alpha):
-    """Whether y is in `acceptance_set(model, eta_of_theta(theta), alpha)` at
-    each theta of `thetas`, block by block over terms computed once."""
+def _grid_flags(model, y, etas, alpha):
+    """Whether y is in the acceptance set at each natural parameter of
+    `etas`, block by block over terms computed once. A Poisson row's support
+    is {0..max(m, y)}, m being `_poisson_top` at its eta: it always holds y.
+    Elsewhere this is `acceptance_set(model, eta, alpha)`'s membership."""
     poisson = model.family == "poisson"
-    # the widest support: the Poisson's m grows with theta
-    support = model.support(eta=model.eta_of_theta(thetas[-1]) if poisson
-                            else None)
+    if poisson:
+        sizes = [max(model._poisson_top(eta), y) + 1 for eta in etas]
+        support = list(range(max(sizes)))
+    else:
+        support = model.support()
+        sizes = [len(support)] * len(etas)
     terms = _terms(model, support)
     col = support.index(y)
     flags = []
-    for etas, sizes in _blocks(model, thetas, len(support)):
-        width = max(sizes)
-        part = tuple(t[:width] for t in terms) if poisson else terms
-        members = _accepted(model, part, etas, alpha, sizes)[0]
-        # a Poisson y past every row's support is in none of the sets
-        flags += members[:, col].tolist() if col < width else [False] * len(etas)
+    for start, stop in _blocks(sizes):
+        members = _accepted(model, terms, etas[start:stop], alpha,
+                            sizes[start:stop] if poisson else None)[0]
+        flags += members[:, col].tolist()
     return flags
 
 
-def theta_grid(model: NefModel, y, grid=None):
+def theta_grid(model: NefModel, y, alpha, grid=None):
     """(step, thetas): the theta points at which `confidence_region_nef`
-    tests membership of y, and the step it reports as the region's `grid`.
+    tests membership of y at level alpha, and the step it reports as the
+    region's `grid`.
 
     Binomial: multiples of the theta step `grid` (default 1e-4) inside
-    (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from the
-    smaller of (y+1)/60 and the FAB estimator (but not below 1e-8) to at
-    least 60 (y+1), so the window holds the estimator, which lies in every
-    region. Multinomial: the open-simplex points with coordinates in
-    multiples of 1/denominator, `grid` being the denominator (default 60;
-    truncated to an integer), and step 1/denominator. A `grid` that is not
-    finite and positive, that leaves no grid point inside the family's
-    range, or that gives more than 10^6 points raises DomainError before
-    any list is built.
+    (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from
+    theta_lo = min(a(1-p), -log(1-alpha)) / 2 to at least 60 (y+1). Below
+    a(1-p), outcome 0 sorts strictly first (lambda is convex and lambda(1) -
+    lambda(0) = log(a(1-p))), and below -log(1-alpha) it holds 1 - alpha
+    alone: at and below theta_lo, 0 is accepted and every other y rejected.
+    Multinomial: the open-simplex points with coordinates in multiples of
+    1/denominator, `grid` being the denominator (default 60; truncated to an
+    integer), and step 1/denominator. An alpha outside (0, 1), or a `grid`
+    that is not finite and positive, that leaves no grid point inside the
+    family's range, or that gives more than 10^6 points raises DomainError
+    before any list is built.
     """
+    alpha = check_alpha(alpha)
     default = {"binom": 1e-4, "poisson": 1e-3, "multinom": 60}[model.family]
     step = default if grid is None else check_positive("grid", grid)
     too_many = DomainError("%s: grid %r gives more than %d theta points"
@@ -464,8 +439,9 @@ def theta_grid(model: NefModel, y, grid=None):
         return step, [i * step for i in range(1, m)]
 
     if model.family == "poisson":
-        theta_hat = model.fab_estimator(y)[1]
-        lo = math.log(max(1e-8, min((y + 1.0) / 60.0, theta_hat)))
+        # in logs, so that a tiny a(1-p) or alpha cannot underflow to 0
+        lo = min(math.log(model.a[0]) + math.log1p(-model.p),
+                 math.log(-math.log1p(-alpha))) - math.log(2.0)
         hi = math.log(60.0 * (y + 1.0))
         if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
             raise too_many
@@ -493,10 +469,11 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     denominator for the multinomial (default 60, i.e. cells at multiples of
     1/60); see `theta_grid`. Returns the union of grid-connected components;
     the estimator is flagged a member when the acceptance set at the
-    estimator itself holds y (never judged or clamped on the grid). A Poisson
-    region that reaches the first grid point starts at 0.0 if y = 0 and 0 is
-    accepted at every smaller theta; any other Poisson region that reaches
-    either end of the grid raises NumericalError.
+    estimator itself holds y (never judged or clamped on the grid). A
+    Poisson region that reaches the first grid point is y = 0's, which is
+    accepted at every smaller theta (see `theta_grid`): it starts at 0.0.
+    A Poisson region of another y that reaches the first grid point, or any
+    that reaches the last, raises NumericalError.
 
     An alpha outside (0,1), a y that is not an outcome of the family (see
     `NefModel.observation`), or an unusable grid (see `theta_grid`) raises
@@ -504,10 +481,11 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     """
     alpha = check_alpha(alpha)
     y = model.observation(y)
-    step, thetas = theta_grid(model, y, grid)
+    step, thetas = theta_grid(model, y, alpha, grid)
     eta_hat, theta_hat = model.fab_estimator(y)
-    flags = _grid_flags(model, y, thetas, alpha)
-    member = y in acceptance_set(model, eta_hat, alpha).members
+    flags = _grid_flags(model, y, [model.eta_of_theta(t) for t in thetas],
+                        alpha)
+    member = _grid_flags(model, y, [eta_hat], alpha)[0]
 
     if model.family == "multinom":
         members = [t for t, m in zip(thetas, flags) if m]
@@ -515,16 +493,15 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
                          estimator=theta_hat, estimator_member=member,
                          cells=tuple(members), grid=step)
 
-    comps = _components(thetas, flags)
+    comps = [(thetas[i], thetas[j]) for i, j in _runs(flags)]
     if model.family == "poisson" and (flags[0] or flags[-1]):
-        if flags[-1] or y != 0 \
-                or not _zero_accepted_below(model, thetas[0], alpha):
+        if flags[-1] or y != 0:
             raise NumericalError("poisson theta grid does not cover the "
                                  "region", y=y, alpha=alpha)
-        comps = ((0.0, comps[0][1]),) + comps[1:]
+        comps[0] = (0.0, comps[0][1])
     return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
                      estimator=theta_hat, estimator_member=member,
-                     intervals=comps, grid=step)
+                     intervals=tuple(comps), grid=step)
 
 
 def parse_family(spec):

@@ -255,6 +255,35 @@ def test_nef_poisson_zero(runner):
     assert json.loads(res.output)["intervals"][0][0] == 0.0
 
 
+def test_nef_poisson_estimator_below_the_old_window(runner):
+    # the estimator, about 0.055, lies below (y + 1)/60 = 0.1; y = 5 is
+    # rejected at the window's first theta, so the region ends inside it
+    res = runner.invoke(main, ["nef", "--family", "poisson:a=1,p=0.99",
+                               "--y", "5", "--alpha", "0.1"])
+    assert res.exit_code == 0, res.output
+    d = json.loads(res.output)
+    assert d["estimator_member"] is True
+    assert any(lo <= d["estimator"] <= hi for lo, hi in d["intervals"])
+
+
+def test_nef_poisson_csv_grid_follows_alpha(runner):
+    # the CSV lists the region's own grid, which starts at
+    # min(a (1 - p), -log(1 - alpha)) / 2 = min(0.5, -log(1 - alpha)) / 2
+    for alpha, first in (("0.1", -math.log(0.9) / 2.0), ("0.5", 0.25)):
+        args = ["nef", "--family", "poisson:a=1,p=0.5", "--y", "3",
+                "--alpha", alpha, "--grid", "0.01"]
+        res = runner.invoke(main, args + ["--format", "csv"])
+        assert res.exit_code == 0, res.output
+        lines = res.output.strip().splitlines()
+        assert lines[0] == "theta,member"
+        rows = [(float(t), m == "1") for t, m in
+                (line.split(",") for line in lines[1:])]
+        assert abs(rows[0][0] - first) < 1e-15
+        (lo, hi), = json.loads(runner.invoke(main, args).output)["intervals"]
+        assert [t for t, m in rows if m] \
+            == [t for t, _ in rows if lo <= t <= hi] != []
+
+
 # -- limits -----------------------------------------------------------------
 
 

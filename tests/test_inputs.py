@@ -20,6 +20,7 @@ NON_POSITIVE = NON_FINITE + (0.0, -1.0)
 
 HS = PriorModel(kind="horseshoe")
 BINOM = nef.NefModel(family="binom", n=8, a=(1.0,), b=1.0)
+POISSON = nef.NefModel(family="poisson", a=(1.0,), p=0.5)
 MULTINOM4 = nef.NefModel(family="multinom", n=4, a=(1.0,) * 4)
 SIM = dict(n=30, p=3, sigma_y2=1.0, log_sigma_beta_grid=(0.0,),
            priors=("flat",), alpha=0.1, reps=2, seed=1)
@@ -43,7 +44,11 @@ def _cases():
             "binom", n=8, a=(v,), b=1.0)
         yield "NefModel b=%r" % v, lambda v=v: nef.NefModel(
             "binom", n=8, a=(1.0,), b=v)
-        yield "theta_grid grid=%r" % v, lambda v=v: nef.theta_grid(BINOM, 4, v)
+        yield ("theta_grid grid=%r" % v,
+               lambda v=v: nef.theta_grid(BINOM, 4, 0.1, v))
+        # the Poisson window starts where alpha says
+        yield ("theta_grid poisson alpha=%r" % v,
+               lambda v=v: nef.theta_grid(POISSON, 3, v))
         yield ("confidence_region_nef grid=%r" % v,
                lambda v=v: nef.confidence_region_nef(BINOM, 4, 0.1, grid=v))
         yield ("fit_regression sigma2=%r" % v, lambda v=v:
@@ -105,9 +110,10 @@ def _cases():
            gaussian.confidence_region(
                PriorModel("gaussian", tau=1e-4, loc=1e9), 1e9 + 3.0, 0.1))
     # grids past the 10^6-point cap
-    yield "theta_grid binom grid=1e-9", lambda: nef.theta_grid(BINOM, 4, 1e-9)
+    yield ("theta_grid binom grid=1e-9",
+           lambda: nef.theta_grid(BINOM, 4, 0.1, 1e-9))
     yield ("theta_grid multinom grid=1000",
-           lambda: nef.theta_grid(MULTINOM4, (1, 1, 1, 1), 1000))
+           lambda: nef.theta_grid(MULTINOM4, (1, 1, 1, 1), 0.1, 1000))
     yield ("scan_step=1e-6", lambda: gaussian.confidence_region(
         PriorModel("flat"), 1.0, 0.1, scan_step=1e-6))
 

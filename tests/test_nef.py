@@ -367,7 +367,7 @@ def test_poisson_region_at_zero(spec, alpha):
     reg = confidence_region_nef(m, 0, alpha, grid=1e-2)
     assert reg.intervals[0][0] == 0.0
     a, p = m.a[0], m.p
-    first = theta_grid(m, 0, 1e-2)[1][0]
+    first = theta_grid(m, 0, alpha, 1e-2)[1][0]
     for theta in (first * 0.9, first / 2, first / 10, 1e-6):
         want = _oracle_members(stats.poisson(theta).logpmf,
                                stats.nbinom(a, p).logpmf, range(40), alpha)
@@ -394,6 +394,76 @@ def test_poisson_region_large_count():
     reg = confidence_region_nef(m, 30, 0.1, grid=1e-2)
     assert reg.estimator_member
     assert reg.contains(30.0) and not reg.contains(1.0)
+
+
+def _poisson_oracle_accepts(m, y, theta, alpha):
+    """Whether the scipy likelihood-ratio oracle accepts y at theta, over a
+    support reaching far past both y and theta."""
+    ys = range(y + int(theta + 20.0 * math.sqrt(theta + 1.0)) + 60)
+    null = stats.poisson.logpmf(ys, theta)
+    marginal = stats.nbinom.logpmf(ys, m.a[0], m.p)
+    return y in _oracle_members(lambda v: null[v], lambda v: marginal[v],
+                                ys, alpha)
+
+
+def _assert_poisson_ends_match_oracle(m, y, alpha, reg):
+    """The oracle accepts y at each end's grid point and rejects it at the
+    grid point just outside; a region from 0 is y = 0's and holds theta
+    below the window's first point."""
+    thetas = theta_grid(m, y, alpha, reg.grid)[1]
+    for lo, hi in reg.intervals:
+        if lo == 0.0:
+            assert y == 0
+            inside = [thetas[0], thetas[0] / 10.0]
+            outside = []
+        else:
+            i = thetas.index(lo)
+            inside, outside = [lo], [thetas[i - 1]]
+        j = thetas.index(hi)
+        inside.append(hi)
+        outside.append(thetas[j + 1])
+        for theta in inside:
+            assert _poisson_oracle_accepts(m, y, theta, alpha), theta
+        for theta in outside:
+            assert not _poisson_oracle_accepts(m, y, theta, alpha), theta
+
+
+@pytest.mark.parametrize("spec,y,alpha", [
+    ("poisson:a=1,p=0.5", 1, 0.01),
+    ("poisson:a=1,p=0.99", 5, 0.1),     # the estimator lies below (y+1)/60
+    ("poisson:a=0.5,p=0.999", 2, 0.1),
+])
+def test_poisson_region_inside_the_window(spec, y, alpha):
+    # y >= 1 is rejected at and below the window's first theta, so the
+    # region ends inside the grid and holds the estimator
+    m = parse_family(spec)
+    reg = confidence_region_nef(m, y, alpha)
+    assert reg.estimator_member and reg.contains(reg.estimator)
+    assert reg.intervals[0][0] > 0.0
+    _assert_poisson_ends_match_oracle(m, y, alpha, reg)
+
+
+def test_poisson_count_past_the_support_of_small_theta():
+    # the support {0..m(theta)} stops below 120 for theta under about 26.8;
+    # every row's support holds y, so the region reaches down to ~4.73 and
+    # holds the estimator 12.0
+    m = parse_family("poisson:a=0.5,p=0.9")
+    reg = confidence_region_nef(m, 120, 0.1)
+    assert reg.estimator_member
+    (lo, hi), = reg.intervals
+    assert abs(lo - 4.74) < 0.01 and lo <= reg.estimator <= hi
+    _assert_poisson_ends_match_oracle(m, 120, 0.1, reg)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from((0.01, 0.5, 1.0, 5.0)),
+       st.sampled_from((0.1, 0.5, 0.9, 0.99, 0.999)), st.integers(0, 60),
+       st.sampled_from((0.01, 0.1, 0.5, 0.9)))
+def test_poisson_region_ends_match_the_oracle(a, p, y, alpha):
+    m = NefModel("poisson", a=(a,), p=p)
+    reg = confidence_region_nef(m, y, alpha, grid=1e-2)
+    assert reg.estimator_member
+    _assert_poisson_ends_match_oracle(m, y, alpha, reg)
 
 
 def test_multinom_region_symmetry():
@@ -468,7 +538,7 @@ def test_theta_grid_holds_at_most_a_million_points():
     # would be a 10^9-element list, multinomial grid=1000 at k=4 C(999, 3)
     # cells
     binom = parse_family("binom:n=8,a=1,b=1")
-    step, thetas = theta_grid(binom, 4, 1.0 / (10 ** 6 + 1))
+    step, thetas = theta_grid(binom, 4, 0.1, 1.0 / (10 ** 6 + 1))
     assert len(thetas) == 10 ** 6
     del thetas
     for spec, y, grid in [("binom:n=8,a=1,b=1", 4, 1.0 / (10 ** 6 + 2)),
@@ -480,25 +550,30 @@ def test_theta_grid_holds_at_most_a_million_points():
                           ("multinom:n=4,a1=1,a2=1,a3=1,a4=1", (1, 1, 1, 1),
                            1e300)]:
         with pytest.raises(DomainError, match="more than 1000000"):
-            theta_grid(parse_family(spec), y, grid)
+            theta_grid(parse_family(spec), y, 0.1, grid)
 
 
 def test_theta_grid_is_the_region_grid():
     m = parse_family("binom:n=8,a=1,b=1")
-    step, thetas = theta_grid(m, 4, 0.01)
+    step, thetas = theta_grid(m, 4, 0.1, 0.01)
     assert step == 0.01 and len(thetas) == 99
     assert thetas[0] == 0.01 and thetas[-1] == 99 * 0.01
-    assert theta_grid(m, 4)[0] == 1e-4
+    assert theta_grid(m, 4, 0.1)[0] == 1e-4
     reg = confidence_region_nef(m, 4, 0.1, grid=0.01)
     assert reg.grid == step
     assert {t for t in thetas if reg.contains(t)} \
         == {t for lo, hi in reg.intervals for t in thetas if lo <= t <= hi}
     assert reg.intervals[0][0] in thetas and reg.intervals[-1][1] in thetas
     p = parse_family("poisson:a=1,p=0.5")
-    step, thetas = theta_grid(p, 3, 1e-2)
-    assert abs(thetas[0] - 4.0 / 60.0) < 1e-15 and thetas[-1] >= 240.0
+    # the window starts at min(a (1 - p), -log(1 - alpha)) / 2
+    step, thetas = theta_grid(p, 3, 0.1, 1e-2)
+    assert abs(thetas[0] + math.log(0.9) / 2.0) < 1e-15
+    assert thetas[-1] >= 240.0
+    assert abs(theta_grid(p, 3, 0.5, 1e-2)[1][0] - 0.25) < 1e-15
+    assert abs(theta_grid(parse_family("poisson:a=0.5,p=0.9"), 3, 0.5)[1][0]
+               - 0.025) < 1e-15
     mm = parse_family("multinom:n=3,a1=1,a2=1,a3=1")
-    step, cells = theta_grid(mm, (1, 1, 1), 4)
+    step, cells = theta_grid(mm, (1, 1, 1), 0.1, 4)
     assert step == 0.25
     assert sorted(cells) == [(0.25, 0.25, 0.5), (0.25, 0.5, 0.25),
                              (0.5, 0.25, 0.25)]
@@ -625,9 +700,10 @@ def _observed_families(draw):
 def test_batched_grid_flags_equal_the_scalar_loop(observed, alpha):
     # exact equality: the batched pass does the same float operations
     m, y, grid = observed
-    _, thetas = theta_grid(m, y, grid)
-    scalar = [_scalar_acceptance(m, m.eta_of_theta(t), alpha) for t in thetas]
-    assert _grid_flags(m, y, thetas, alpha) == [y in s[0] for s in scalar]
+    _, thetas = theta_grid(m, y, alpha, grid)
+    etas = [m.eta_of_theta(t) for t in thetas]
+    scalar = [_scalar_acceptance(m, eta, alpha) for eta in etas]
+    assert _grid_flags(m, y, etas, alpha) == [y in s[0] for s in scalar]
     for theta, (members, acc) in zip(thetas[::7], scalar[::7]):
         eta = m.eta_of_theta(theta)
         got = acceptance_set(m, eta, alpha)
@@ -641,8 +717,9 @@ def test_batched_grid_flags_equal_the_scalar_loop(observed, alpha):
 
 def test_region_work_is_per_support_point(monkeypatch):
     # lambda(y) and the log binomial coefficients are computed once per
-    # support, and acceptance_set runs once, for the check at eta-hat: the
-    # grid does not rebuild an acceptance set per theta
+    # support, for the grid and for the check at eta-hat, and acceptance_set
+    # never runs: the grid does not rebuild an acceptance set per theta, and
+    # the check at eta-hat goes through the grid's rows
     calls = {"log_gamma": 0, "acceptance_set": 0}
 
     def counted(name, fn):
@@ -656,5 +733,5 @@ def test_region_work_is_per_support_point(monkeypatch):
                         counted("acceptance_set", nef.acceptance_set))
     n = 30
     confidence_region_nef(parse_family("binom:n=%d,a=0.5,b=2" % n), 11, 0.1)
-    assert calls["acceptance_set"] == 1
+    assert calls["acceptance_set"] == 0
     assert calls["log_gamma"] <= 10 * (n + 1) + 10
