@@ -13,6 +13,7 @@ from ._kernels_py import (
     KIND_GPD,
     KIND_HORSESHOE,
     KIND_LAPLACE,
+    W_CUTOFF,
     bessel_i0e,
     bessel_i1e,
     dawson,

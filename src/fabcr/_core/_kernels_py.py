@@ -9,6 +9,7 @@ All functions are pure and operate on Python floats. Argument validation
 kernels assume finite inputs inside their domains.
 """
 
+import functools
 import math
 
 # ---------------------------------------------------------------------------
@@ -429,6 +430,9 @@ def posterior_mean(kind, p1, p2, sigma, y):
 
 _W_LO = 1e-15
 _W_HI = 1.0 - 1e-15
+# weights within W_CUTOFF of 0 or 1 are resolved too coarsely for their
+# bounds; callers take the cutoff formulation there instead
+W_CUTOFF = 1e-8
 
 
 def _lam(kind, p1, p2, sigma, theta0, y):
@@ -437,44 +441,68 @@ def _lam(kind, p1, p2, sigma, theta0, y):
     return log_marginal(kind, p1, p2, sigma, y) + d * d / (2.0 * sigma * sigma)
 
 
-def _bounds_for_w(theta0, sigma, alpha, w):
+def _quantiles(alpha, w):
     # Phi^-1(1 - q) = -Phi^-1(q); going through the lower tail keeps full
     # relative accuracy and avoids 1 - q rounding to 1.0 for tiny q
-    lo = theta0 + sigma * norm_quantile(alpha * w)
-    hi = theta0 - sigma * norm_quantile(alpha * (1.0 - w))
-    return lo, hi
+    return norm_quantile(alpha * w), norm_quantile(alpha * (1.0 - w))
 
 
-def weight_solve(kind, p1, p2, sigma, theta0, alpha):
+@functools.lru_cache(maxsize=64)
+def _end_quantiles(alpha):
+    """_quantiles at the initial bracket ends _W_LO and _W_HI."""
+    return _quantiles(alpha, _W_LO), _quantiles(alpha, _W_HI)
+
+
+def _bounds(theta0, sigma, q):
+    # the acceptance bounds from q = _quantiles(alpha, w)
+    return theta0 + sigma * q[0], theta0 - sigma * q[1]
+
+
+def weight_solve(kind, p1, p2, sigma, theta0, alpha, y=None, y_tol=0.0):
     """Solve for the weight w in (0,1) equalising the log-likelihood ratio at
-    the two acceptance bounds. Returns (w, lo, hi).
+    the two acceptance bounds lo = theta0 + sigma Phi^-1(alpha w) and hi =
+    theta0 - sigma Phi^-1(alpha (1 - w)). Returns (w, lo, hi).
 
     G(w) = lam(lo(w)) - lam(hi(w)) is strictly decreasing (lam is strictly
     convex), so a bracketing bisection with secant acceleration converges.
+
+    Given y, the solve stops once its bracket [wa, wb] lies inside
+    (W_CUTOFF, 1 - W_CUTOFF) and settles by more than y_tol whether lo <= y
+    <= hi at the solved w: lo and hi both rise with w, so the solved bounds
+    lie between those at wa and wb. It then returns the bracket end whose
+    bounds give the same answer.
     """
+    q_a, q_b = _end_quantiles(alpha)
     wa, wb = _W_LO, _W_HI
-    lo, hi = _bounds_for_w(theta0, sigma, alpha, wa)
-    ga = _lam(kind, p1, p2, sigma, theta0, lo) - _lam(kind, p1, p2, sigma, theta0, hi)
+    lo_a, hi_a = _bounds(theta0, sigma, q_a)
+    ga = (_lam(kind, p1, p2, sigma, theta0, lo_a)
+          - _lam(kind, p1, p2, sigma, theta0, hi_a))
     if ga <= 0.0:
-        return wa, lo, hi
-    lo, hi = _bounds_for_w(theta0, sigma, alpha, wb)
-    gb = _lam(kind, p1, p2, sigma, theta0, lo) - _lam(kind, p1, p2, sigma, theta0, hi)
+        return wa, lo_a, hi_a
+    lo_b, hi_b = _bounds(theta0, sigma, q_b)
+    gb = (_lam(kind, p1, p2, sigma, theta0, lo_b)
+          - _lam(kind, p1, p2, sigma, theta0, hi_b))
     if gb >= 0.0:
-        return wb, lo, hi
+        return wb, lo_b, hi_b
 
     w = 0.5
     g_prev = None
     w_prev = None
     for _ in range(200):
-        lo, hi = _bounds_for_w(theta0, sigma, alpha, w)
+        lo, hi = _bounds(theta0, sigma, _quantiles(alpha, w))
         g = (_lam(kind, p1, p2, sigma, theta0, lo)
              - _lam(kind, p1, p2, sigma, theta0, hi))
         if g == 0.0:
             return w, lo, hi
         if g > 0.0:
-            wa = w
+            wa, lo_a, hi_a = w, lo, hi
         else:
-            wb = w
+            wb, lo_b, hi_b = w, lo, hi
+        if y is not None and W_CUTOFF < wa and wb < 1.0 - W_CUTOFF:
+            if y < lo_a - y_tol or lo_b + y_tol < y < hi_a - y_tol:
+                return wa, lo_a, hi_a
+            if y > hi_b + y_tol:
+                return wb, lo_b, hi_b
         if wb - wa < 1e-13:
             break
         # secant step, safeguarded into the bracket
@@ -486,5 +514,4 @@ def weight_solve(kind, p1, p2, sigma, theta0, alpha):
             w_next = 0.5 * (wa + wb)
         w = w_next
     w = 0.5 * (wa + wb)
-    lo, hi = _bounds_for_w(theta0, sigma, alpha, w)
-    return w, lo, hi
+    return (w,) + _bounds(theta0, sigma, _quantiles(alpha, w))

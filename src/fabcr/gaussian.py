@@ -182,18 +182,24 @@ class _DegenerateWeight(Exception):
     (Gaussian prior far from its location); use the cutoff formulation."""
 
 
-def _solve(model: PriorModel, theta0, alpha):
+def _solve(model: PriorModel, theta0, alpha, y=None):
     """Kernel weight solve in prior-centred coordinates; returns (w, lo, hi)
-    back in the original parameterization."""
+    back in the original parameterization. Given y, the solve may stop once
+    its bracket settles whether lo <= y <= hi, and then returns bounds that
+    give the same answer as the solved ones; its margin covers the rounding
+    of the shift by loc and the last-ulp wobble of the quantiles."""
     code, p1, p2, s = model._kernel_args()
-    t0 = theta0 - model.loc
-    w, lo, hi = _core.weight_solve(code, p1, p2, s, t0, alpha)
-    if w <= 1e-8 or w >= 1.0 - 1e-8:
+    loc = model.loc
+    settle = () if y is None else (y - loc, 1e-10 * s + 4.0 * math.ulp(
+        abs(y) + abs(loc) + abs(theta0) + s))
+    w, lo, hi = _core.weight_solve(code, p1, p2, s, theta0 - loc, alpha,
+                                   *settle)
+    if w <= _core.W_CUTOFF or w >= 1.0 - _core.W_CUTOFF:
         # the solver resolves w only to ~1e-13 absolute, so this close to the
         # boundary the implied interval endpoint gets noisy; the cutoff
         # formulation stays well-conditioned there
         raise _DegenerateWeight(theta0, alpha, w)
-    return w, lo + model.loc, hi + model.loc
+    return w, lo + loc, hi + loc
 
 
 # -- cutoff (Neyman-Pearson) formulation, used when w degenerates ----------
@@ -319,12 +325,16 @@ def focal_point(model: PriorModel, y):
     return model.posterior_mean(y)
 
 
-def _membership(model, theta0, alpha, y):
+def _membership(model, theta0, alpha, y, slack=None):
+    """Whether the acceptance interval at theta0 holds y. Given a `slack`,
+    whether y lies within slack of the fully solved bounds."""
     try:
-        _, lo, hi = _solve(model, theta0, alpha)
+        _, lo, hi = _solve(model, theta0, alpha, y if slack is None else None)
     except _DegenerateWeight:
-        return _p_value(model, theta0, y) >= alpha - 1e-12, None, None
-    return lo <= y <= hi, lo, hi
+        return _p_value(model, theta0, y) >= alpha - 1e-12
+    if slack is None:
+        return lo <= y <= hi
+    return lo - slack <= y <= hi + slack
 
 
 def _search_cap(model, y):
@@ -341,7 +351,7 @@ def _bracket_endpoint(model, y, alpha, start, direction, cap):
     """March from an interior point `start` in +-1 direction until membership
     is lost, then bisect the boundary to absolute tolerance 1e-8."""
     def member(t):
-        return _membership(model, t, alpha, y)[0]
+        return _membership(model, t, alpha, y)
 
     bracket = _march(member, start, direction, model.sigma,
                      limit=model.loc + direction * cap, y=y, alpha=alpha,
@@ -375,14 +385,11 @@ def confidence_region(model: PriorModel, y, alpha, scan_step=None):
         raise DomainError("scan_step %r gives more than %d scan points"
                           % (scan_step, MAX_GRID_POINTS))
     focal = model.posterior_mean(y)
-    member, lo0, hi0 = _membership(model, focal, alpha, y)
-    if not member:
-        # allow only solve-tolerance slack before declaring failure
-        slack = 1e-7 * model.sigma
-        if lo0 is None or not (lo0 - slack <= y <= hi0 + slack):
-            raise NumericalError("focal point not in its own region",
-                                 y=y, alpha=alpha, focal=focal,
-                                 prior=model.spec_string())
+    # allow only solve-tolerance slack before declaring failure
+    if not _membership(model, focal, alpha, y, slack=1e-7 * model.sigma):
+        raise NumericalError("focal point not in its own region",
+                             y=y, alpha=alpha, focal=focal,
+                             prior=model.spec_string())
 
     if scan_step is not None:
         return _scan_region(model, y, alpha, focal, cap, scan_step)
@@ -398,7 +405,7 @@ def _scan_region(model, y, alpha, focal, cap, step):
     n = max(2, int(math.ceil(2.0 * cap / step)) + 1)
 
     def member(t):
-        return _membership(model, t, alpha, y)[0]
+        return _membership(model, t, alpha, y)
 
     comps = _runs([member(lo_grid + i * step) for i in range(n)])
     if not comps:

@@ -412,10 +412,12 @@ def theta_grid(model: NefModel, y, alpha, grid=None):
 
     Binomial: multiples of the theta step `grid` (default 1e-4) inside
     (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from
-    theta_lo = min(a(1-p), -log(1-alpha)) / 2 to at least 60 (y+1). Below
-    a(1-p), outcome 0 sorts strictly first (lambda is convex and lambda(1) -
-    lambda(0) = log(a(1-p))), and below -log(1-alpha) it holds 1 - alpha
-    alone: at and below theta_lo, 0 is accepted and every other y rejected.
+    theta_lo = min(a(1-p), -log(1-alpha)) / 2 to at least 60 (y+1), the
+    top theta doubled while the outcome y is accepted at the last point
+    (until the grid would pass 10^6 points). Below a(1-p), outcome 0 sorts
+    strictly first (lambda is convex and lambda(1) - lambda(0) =
+    log(a(1-p))), and below -log(1-alpha) it holds 1 - alpha alone: at and
+    below theta_lo, 0 is accepted and every other y rejected.
     Multinomial: the open-simplex points with coordinates in multiples of
     1/denominator, `grid` being the denominator (default 60; truncated to an
     integer), and step 1/denominator. An alpha outside (0, 1), or a `grid`
@@ -449,6 +451,12 @@ def theta_grid(model: NefModel, y, alpha, grid=None):
         if npts < 3:
             raise DomainError("poisson: log-theta grid step %r leaves no "
                               "theta inside the search window" % (grid,))
+        while _grid_flags(model, y, [model.eta_of_theta(
+                math.exp(lo + (npts - 1) * step))], alpha)[0]:
+            hi += math.log(2.0)
+            if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
+                break
+            npts = int(math.ceil((hi - lo) / step)) + 1
         return step, [math.exp(lo + i * step) for i in range(npts)]
 
     denom = int(step)
@@ -473,7 +481,7 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     Poisson region that reaches the first grid point is y = 0's, which is
     accepted at every smaller theta (see `theta_grid`): it starts at 0.0.
     A Poisson region of another y that reaches the first grid point, or any
-    that reaches the last, raises NumericalError.
+    that reaches the last (the grid's top is capped), raises NumericalError.
 
     An alpha outside (0,1), a y that is not an outcome of the family (see
     `NefModel.observation`), or an unusable grid (see `theta_grid`) raises

@@ -1,14 +1,18 @@
 """Acceptance intervals and confidence regions for the normal mean."""
 
+import dataclasses
 import json
 import math
 import random
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CATALOG_SPECS
 from fabcr import _core
+from fabcr._core import _kernels_py
 from fabcr.errors import DomainError, NumericalError
 from fabcr.gaussian import (_ENDPOINT_TOL, AcceptanceInterval,
                             ConfidenceRegion, _bisect, _DegenerateWeight,
@@ -385,6 +389,144 @@ def test_region_far_below_prior_location(spec):
     assert shifted.lo < shifted.focal < shifted.hi
     assert abs(shifted.lo - (base.lo + 1000.0)) < 1e-6
     assert abs(shifted.hi - (base.hi + 1000.0)) < 1e-6
+
+
+# -- early exit of the weight solve -----------------------------------------
+
+
+def _decision(model, theta0, alpha, y, settle):
+    """What `_solve` decides about y at theta0: None where it hands over to
+    the cutoff formulation, else whether its bounds hold y. With `settle`
+    the solve may stop as soon as its bracket settles that."""
+    try:
+        _, lo, hi = _solve(model, theta0, alpha, y if settle else None)
+    except _DegenerateWeight:
+        return None
+    return lo <= y <= hi
+
+
+def _assert_early_exit_decides_as_the_full_solve(model, alpha, y, thetas):
+    for theta0 in thetas:
+        assert _decision(model, theta0, alpha, y, True) \
+            == _decision(model, theta0, alpha, y, False), (theta0, y, alpha)
+
+
+def _assert_decisions_near_the_region(model, y, alpha):
+    """theta0 at 1e-12 to 1e-6 sigma on both sides of each region endpoint
+    and far away, and y on (and one float off) the solved bounds."""
+    s = model.sigma
+    reg = confidence_region(model, y, alpha)
+    thetas = [reg.focal, reg.lo - 30.0 * s, reg.hi + 30.0 * s]
+    for end in (reg.lo, reg.hi):
+        thetas += [end + sign * 10.0 ** k * s
+                   for k in range(-12, -5) for sign in (1.0, -1.0)]
+    _assert_early_exit_decides_as_the_full_solve(model, alpha, y, thetas)
+    for theta0 in (reg.focal, reg.lo, reg.hi, 0.5 * (reg.lo + y)):
+        try:
+            _, lo, hi = _solve(model, theta0, alpha)
+        except _DegenerateWeight:
+            continue
+        for edge in (lo, hi):
+            for on in (edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf)):
+                _assert_early_exit_decides_as_the_full_solve(
+                    model, alpha, on, [theta0])
+
+
+def _located(spec, sigma, loc):
+    m = parse_prior(spec, sigma=sigma)
+    if m.kind == "gaussian":
+        # tau tied to sigma: a free tau = 1 is refused at most of these
+        # sigma and loc (see `_in_range`)
+        return PriorModel("gaussian", sigma=sigma, loc=loc)
+    return dataclasses.replace(m, loc=loc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.sampled_from(CATALOG_SPECS), st.floats(-6.0, 6.0),
+       st.sampled_from((0.0, 1.0, -1.0)), st.floats(0.0, 12.0),
+       st.floats(0.01, 0.5), st.floats(-8.0, 8.0))
+def test_early_exit_decides_as_the_full_solve(spec, log_sigma, loc_sign,
+                                              log_loc, alpha, offset):
+    sigma, loc = 10.0 ** log_sigma, loc_sign * 10.0 ** log_loc
+    _assert_decisions_near_the_region(_located(spec, sigma, loc),
+                                      loc + offset * sigma, alpha)
+
+
+@pytest.mark.parametrize("spec, sigma, loc, offset, alpha", [
+    ("horseshoe", 1.0, 0.0, 3.0, 0.1),
+    ("laplace:kappa=2", 0.5, 0.0, 5.643155, 0.01),  # w near 1 - 1e-8
+    ("horseshoe", 1e-6, 1e12, 2.0, 0.1),    # floats at loc 1.2e-4 apart
+    ("bp:a=1.5,b=2", 1.0, -1e12, -4.0, 0.5),
+    ("gpd", 1e6, 3e6, 0.3, 0.01),
+    ("bessel", 1e-3, 7e5, 40.0, 0.2),
+    ("flat+atom:gamma=0.5", 2.0, 1e9, 1.5, 0.05),
+    ("gaussian", 1.0, 1e3, 9.0, 0.1),     # degenerate weight far from loc
+])
+def test_early_exit_decides_as_the_full_solve_at_fixed_inputs(
+        spec, sigma, loc, offset, alpha):
+    _assert_decisions_near_the_region(_located(spec, sigma, loc),
+                                      loc + offset * sigma, alpha)
+
+
+def test_free_tau_gaussian_membership_with_the_early_exit():
+    # near loc the weight is solved, far from it the cutoff path decides
+    m = PriorModel("gaussian", sigma=1.0, tau=0.3, loc=50.0)
+    for y in (50.0, 51.5, 60.0):
+        _assert_decisions_near_the_region(m, y, 0.1)
+
+
+def test_region_work_with_the_early_exit(monkeypatch):
+    # horseshoe, sigma = 1, y = 3, alpha = 0.1 takes 61 weight solves; solved
+    # to 1e-13 each, with the four quantiles at the bracket's initial ends
+    # on every solve, they took 1,756 kernel log-marginals and 1,858 normal
+    # quantiles
+    calls = {"log_marginal": 0, "norm_quantile": 0, "weight_solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(_kernels_py, name))
+        monkeypatch.setattr(_kernels_py, name, wrapper)
+        monkeypatch.setattr(_core, name, wrapper)
+    _kernels_py._end_quantiles.cache_clear()
+    confidence_region(parse_prior("horseshoe"), 3.0, 0.1)
+    assert calls["weight_solve"] == 61
+    assert calls["log_marginal"] <= 1164
+    assert calls["norm_quantile"] <= 926
+
+
+def test_focal_check_reads_the_fully_solved_bounds(monkeypatch):
+    # the focal check allows 1e-7 sigma of slack around the solved bounds;
+    # bounds at a bracket end of an early exit would loosen it, so its
+    # solve runs in full (the six-argument call) and every later one may
+    # stop early
+    m = parse_prior("horseshoe")
+    reg = confidence_region(m, 3.0, 0.1)
+    solve = _core.weight_solve
+    nargs = []
+
+    def spy(*args):
+        nargs.append(len(args))
+        return solve(*args)
+
+    monkeypatch.setattr(_core, "weight_solve", spy)
+    for focal, member in ((reg.hi - 1e-4, True), (reg.hi + 1e-4, False),
+                          (reg.lo - 1e-4, False)):
+        monkeypatch.setattr(PriorModel, "posterior_mean",
+                            lambda self, y, focal=focal: focal)
+        nargs.clear()
+        if member:
+            assert confidence_region(m, 3.0, 0.1).focal == focal
+            assert nargs[0] == 6 and set(nargs[1:]) == {8}
+        else:
+            with pytest.raises(NumericalError, match="focal point"):
+                confidence_region(m, 3.0, 0.1)
+            assert nargs == [6]
 
 
 # -- p-value curves ---------------------------------------------------------

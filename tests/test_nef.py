@@ -455,6 +455,18 @@ def test_poisson_count_past_the_support_of_small_theta():
     _assert_poisson_ends_match_oracle(m, 120, 0.1, reg)
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.5, 0.9])
+def test_poisson_region_past_the_default_top(alpha):
+    # prior mean 450: y = 0 is still accepted at 60 (y + 1) = 60, so the
+    # grid's top is doubled until it is rejected there
+    m = parse_family("poisson:a=50,p=0.1")
+    reg = confidence_region_nef(m, 0, alpha, grid=1e-2)
+    assert reg.estimator_member and reg.contains(reg.estimator)
+    assert reg.intervals[-1][1] > 60.0
+    assert theta_grid(m, 0, alpha, 1e-2)[1][-1] > reg.intervals[-1][1]
+    _assert_poisson_ends_match_oracle(m, 0, alpha, reg)
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.sampled_from((0.01, 0.5, 1.0, 5.0)),
        st.sampled_from((0.1, 0.5, 0.9, 0.99, 0.999)), st.integers(0, 60),
