@@ -177,18 +177,14 @@ def _runs(flags):
     return runs
 
 
-class _DegenerateWeight(Exception):
-    """The spending weight is closer to 0/1 than double precision resolves
-    (Gaussian prior far from its location); use the cutoff formulation."""
-
-
 def _solve(model: PriorModel, theta0, alpha, y=None):
     """Kernel weight solve in prior-centred coordinates; returns (w, lo, hi)
-    back in the original parameterization. Given y, the solve may stop once
-    its bracket settles whether lo <= y <= hi, and then returns bounds that
-    give the same answer as the solved ones; its margin covers the rounding
-    of the shift by loc and the last-ulp wobble of the quantiles."""
-    code, p1, p2, s = model._kernel_args()
+    back in the original parameterization, or None where w is within
+    W_CUTOFF of 0 or 1. Given y, the solve may stop once its bracket settles
+    whether lo <= y <= hi, and then returns bounds that give the same answer
+    as the solved ones; its margin covers the rounding of the shift by loc
+    and the last-ulp wobble of the quantiles."""
+    code, p1, p2, s = model._kernel_args
     loc = model.loc
     settle = () if y is None else (y - loc, 1e-10 * s + 4.0 * math.ulp(
         abs(y) + abs(loc) + abs(theta0) + s))
@@ -198,7 +194,7 @@ def _solve(model: PriorModel, theta0, alpha, y=None):
         # the solver resolves w only to ~1e-13 absolute, so this close to the
         # boundary the implied interval endpoint gets noisy; the cutoff
         # formulation stays well-conditioned there
-        raise _DegenerateWeight(theta0, alpha, w)
+        return None
     return w, lo + loc, hi + loc
 
 
@@ -256,7 +252,7 @@ def _sublevel(model, theta0):
     to its other end (z itself where z is numerically z*)."""
     s = model.sigma
     if model.kind == "gaussian":
-        tau = model._kernel_args()[1]
+        tau = model._kernel_args[1]
         u = (theta0 - model.loc) / tau * (s / tau)
         return u, lambda z: 2.0 * u - z
     ystar = _lam_minimizer(model, theta0)
@@ -312,28 +308,26 @@ def weight(model: PriorModel, theta0, alpha):
 def acceptance_interval(model: PriorModel, theta0, alpha):
     alpha = check_alpha(alpha)
     theta0 = _in_range(model, "theta0", theta0)
-    try:
-        w, lo, hi = _solve(model, theta0, alpha)
-    except _DegenerateWeight:
-        w, lo, hi = _np_interval(model, theta0, alpha)
+    w, lo, hi = (_solve(model, theta0, alpha)
+                 or _np_interval(model, theta0, alpha))
     return AcceptanceInterval(theta0=theta0, w=w, lo=lo, hi=hi, alpha=alpha)
 
 
 def focal_point(model: PriorModel, y):
     """Posterior mean of theta given y: the one point inside the region at
-    every confidence level."""
-    return model.posterior_mean(y)
+    every confidence level. A y outside the supported range (see
+    `_in_range`) raises DomainError."""
+    return model.posterior_mean(_in_range(model, "y", y))
 
 
-def _membership(model, theta0, alpha, y, slack=None):
-    """Whether the acceptance interval at theta0 holds y. Given a `slack`,
-    whether y lies within slack of the fully solved bounds."""
-    try:
-        _, lo, hi = _solve(model, theta0, alpha, y if slack is None else None)
-    except _DegenerateWeight:
+def _membership(model, theta0, alpha, y, slack=0.0):
+    """Whether y lies within `slack` of the acceptance interval at theta0.
+    Without slack the solve may stop once y is settled; a slack reads the
+    fully solved bounds."""
+    solved = _solve(model, theta0, alpha, None if slack else y)
+    if solved is None:
         return _p_value(model, theta0, y) >= alpha - 1e-12
-    if slack is None:
-        return lo <= y <= hi
+    _, lo, hi = solved
     return lo - slack <= y <= hi + slack
 
 

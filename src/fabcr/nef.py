@@ -16,6 +16,8 @@ point inside the region at every level.
 
 import json
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -24,7 +26,7 @@ import numpy as np
 from fabcr import _core
 from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
                           SpecParseError, check_alpha, check_count,
-                          check_positive)
+                          check_finite, check_positive)
 from fabcr.gaussian import _runs
 from fabcr.priors import _parse_spec
 
@@ -36,6 +38,8 @@ _FAMILY_PARAMS = {"binom": ("n", "a", "b"), "poisson": ("a", "p"),
 _FAMILY_FIELDS = sorted(set().union(*_FAMILY_PARAMS.values()))
 
 _TIE_REL = 1e-12
+# the largest eta whose e^eta is a float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # matrix elements (grid rows x support points) evaluated at once
 _BLOCK = 4096
 
@@ -324,6 +328,31 @@ def _accepted(model, terms, etas, alpha, sizes=None):
     return members, coverage
 
 
+def _check_eta(model, eta):
+    """eta as a natural parameter of the family: a float for the binomial
+    and the Poisson, a tuple of k - 1 floats for the multinomial. An eta of
+    another type or shape, a non-finite one, or one whose mean-scale value
+    is not a float (e^eta overflows for the Poisson, a cell of F(eta)
+    underflows to 0 for the multinomial) raises DomainError."""
+    k = model.k
+    try:
+        values = tuple(eta) if k else (eta,)
+    except TypeError:
+        values = ()
+    if len(values) != (k - 1 if k else 1) \
+            or not all(isinstance(v, numbers.Real) for v in values):
+        raise DomainError("%s: eta must be %s, got %r" % (
+            model.family, "k - 1 = %d reals" % (k - 1) if k else "one real",
+            eta))
+    values = tuple(check_finite("%s: eta" % model.family, v) for v in values)
+    if model.family == "poisson" and values[0] > _LOG_FLOAT_MAX:
+        raise DomainError("poisson: e^eta overflows at eta=%r" % values)
+    if k and 0.0 in model.mean_map(values):
+        raise DomainError("multinom: a cell of F(eta) underflows to 0 at "
+                          "eta=%r" % (values,))
+    return values if k else values[0]
+
+
 def acceptance_set(model: NefModel, eta, alpha):
     """Smallest-lambda_eta acceptance set with null mass >= 1 - alpha.
 
@@ -331,9 +360,12 @@ def acceptance_set(model: NefModel, eta, alpha):
     the target mass is reached; points tied with the cutoff are included
     (over-coverage is permitted), with deterministic ordering by y. A set
     whose summed mass never reaches the target holds every point; for the
-    Poisson, whose support is truncated, that raises NumericalError.
+    Poisson, whose support is truncated, that raises NumericalError. An
+    alpha outside (0, 1) or an eta refused by `_check_eta` raises
+    DomainError before any computation.
     """
     alpha = check_alpha(alpha)
+    eta = _check_eta(model, eta)
     support = model.support(eta=eta if model.family == "poisson" else None)
     members, coverage = _accepted(model, _terms(model, support), [eta], alpha)
     return DiscreteAcceptanceSet(

@@ -28,7 +28,9 @@ structure in sigma.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from fabcr import _core
@@ -37,37 +39,29 @@ from fabcr.errors import (DomainError, SpecParseError, check_finite,
 
 _LOG_SQRTPI = 0.5 * math.log(math.pi)
 
-KINDS = ("flat", "flat+atom", "gaussian", "bp", "horseshoe", "gpd", "bessel",
-         "laplace")
-
-_KIND_CODE = {
-    "flat": _core.KIND_FLAT,
-    "flat+atom": _core.KIND_FLAT_ATOM,
-    "gaussian": _core.KIND_GAUSSIAN,
-    "bp": _core.KIND_BETAPRIME,
-    "horseshoe": _core.KIND_HORSESHOE,
-    "gpd": _core.KIND_GPD,
-    "bessel": _core.KIND_BESSEL,
-    "laplace": _core.KIND_LAPLACE,
+# per kind: the kernel code, the parameters it takes besides sigma and loc
+# (all required but gaussian's tau, which ties the prior scale to sigma when
+# left out) and, for the named beta-prime cases, their shapes (a, b)
+_Kind = namedtuple("_Kind", "code params shapes")
+_KINDS = {
+    "flat": _Kind(_core.KIND_FLAT, (), None),
+    "flat+atom": _Kind(_core.KIND_FLAT_ATOM, ("gamma",), None),
+    "gaussian": _Kind(_core.KIND_GAUSSIAN, ("tau",), None),
+    "bp": _Kind(_core.KIND_BETAPRIME, ("a", "b"), None),
+    "horseshoe": _Kind(_core.KIND_HORSESHOE, (), (0.5, 0.5)),
+    "gpd": _Kind(_core.KIND_GPD, (), (0.5, 1.0)),
+    "bessel": _Kind(_core.KIND_BESSEL, (), (1.0, 0.5)),
+    "laplace": _Kind(_core.KIND_LAPLACE, ("kappa",), None),
 }
-
-# the parameters each kind takes besides sigma and loc; all are required but
-# gaussian's tau, which ties the prior scale to sigma when left out
-_PARAMS = {"flat": (), "flat+atom": ("gamma",), "gaussian": ("tau",),
-           "bp": ("a", "b"), "horseshoe": (), "gpd": (), "bessel": (),
-           "laplace": ("kappa",)}
-_PARAM_NAMES = sorted(set().union(*_PARAMS.values()))
+KINDS = tuple(_KINDS)
+_PARAM_NAMES = sorted({n for kind in _KINDS.values() for n in kind.params})
 
 
 def _refuse_extra(kind, names):
-    extra = set(names) - set(_PARAMS[kind])
+    extra = set(names) - set(_KINDS[kind].params)
     if extra:
         raise SpecParseError("unexpected parameter(s) %s for prior kind %r"
                              % (", ".join(sorted(extra)), kind))
-
-
-# (a, b) of the named beta-prime special cases
-_BP_ALIAS = {"horseshoe": (0.5, 0.5), "gpd": (0.5, 1.0), "bessel": (1.0, 0.5)}
 
 
 @dataclass(frozen=True)
@@ -97,34 +91,31 @@ class PriorModel:
         check_finite("loc", self.loc)
         _refuse_extra(self.kind, [n for n in _PARAM_NAMES
                                   if getattr(self, n) is not None])
-        for name in _PARAMS[self.kind]:
+        names = _KINDS[self.kind].params
+        for name in names:
             value = getattr(self, name)
             if value is not None:
                 check_positive("%s prior: %s" % (self.kind, name), value)
             elif self.kind != "gaussian":  # tau=None ties tau to sigma
                 raise DomainError("%s prior requires %s"
-                                  % (self.kind, " and ".join(_PARAMS[self.kind])))
+                                  % (self.kind, " and ".join(names)))
 
     # -- kernel plumbing ---------------------------------------------------
 
+    @cached_property
     def _kernel_args(self):
-        """(kind_code, p1, p2, sigma) for the kernel backend."""
-        code = _KIND_CODE[self.kind]
-        if self.kind == "gaussian":
-            return code, (self.sigma if self.tau is None else self.tau), 0.0, self.sigma
-        if self.kind == "bp":
-            # the kernels evaluate 1F1(a + s, a + b + s, .) at s = 1/2 and
-            # 3/2, which needs b to survive as (a + b + s) - (a + s)
-            if self.b <= 2.0 * math.ulp(self.a + 1.5):
-                raise DomainError("bp prior: b=%r is below the double "
-                                  "precision resolution of a=%r"
-                                  % (self.b, self.a))
-            return code, self.a, self.b, self.sigma
-        if self.kind == "laplace":
-            return code, self.kappa, 0.0, self.sigma
-        if self.kind == "flat+atom":
-            return code, self.gamma, 0.0, self.sigma
-        return code, 0.0, 0.0, self.sigma
+        """(kind_code, p1, p2, sigma) for the kernels: the kind's parameters
+        in table order, padded with 0.0; a free tau left out is sigma."""
+        code, names, _ = _KINDS[self.kind]
+        p1, p2 = ([getattr(self, n) for n in names] + [0.0, 0.0])[:2]
+        if p1 is None:  # gaussian's tau, tied to sigma
+            p1 = self.sigma
+        # the kernels evaluate 1F1(a + s, a + b + s, .) at s = 1/2 and 3/2,
+        # which needs b to survive as (a + b + s) - (a + s)
+        if self.kind == "bp" and p2 <= 2.0 * math.ulp(p1 + 1.5):
+            raise DomainError("bp prior: b=%r is below the double precision "
+                              "resolution of a=%r" % (p2, p1))
+        return code, p1, p2, self.sigma
 
     def _shift(self, y):
         if not math.isfinite(y):
@@ -140,21 +131,16 @@ class PriorModel:
             return self.tau is None
         return self.kind != "flat+atom"
 
-    @property
-    def symmetric(self):
-        """All catalog priors are symmetric about loc."""
-        return True
-
     def log_marginal(self, y):
-        code, p1, p2, s = self._kernel_args()
+        code, p1, p2, s = self._kernel_args
         return _core.log_marginal(code, p1, p2, s, self._shift(y))
 
     def dlog_marginal(self, y):
-        code, p1, p2, s = self._kernel_args()
+        code, p1, p2, s = self._kernel_args
         return _core.dlog_marginal(code, p1, p2, s, self._shift(y))
 
     def posterior_mean(self, y):
-        code, p1, p2, s = self._kernel_args()
+        code, p1, p2, s = self._kernel_args
         return self.loc + _core.posterior_mean(code, p1, p2, s, self._shift(y))
 
     def tail_profile(self):
@@ -170,7 +156,7 @@ class PriorModel:
             k = self.kappa
             return TailProfile(kappa=k, delta=0.0,
                                gamma=k / (2.0 * self.sigma) * math.exp(0.5 * k * k))
-        a, b = _BP_ALIAS.get(self.kind, (self.a, self.b))
+        a, b = _KINDS[self.kind].shapes or (self.a, self.b)
         log_g = (math.lgamma(a + 0.5) + a * math.log(2.0 * self.sigma ** 2)
                  - _LOG_SQRTPI - _core.log_beta(a, b))
         try:
@@ -180,14 +166,10 @@ class PriorModel:
             g = math.inf
         return TailProfile(kappa=0.0, delta=2.0 * a + 1.0, gamma=g)
 
-    def with_sigma(self, sigma):
-        """Same prior family rebuilt at a different likelihood scale."""
-        return replace(self, sigma=float(sigma))
-
     def spec_string(self):
         """Canonical plain-text spec, parseable by parse_prior."""
-        parts = ["%s=%.17g" % (n, getattr(self, n)) for n in _PARAMS[self.kind]
-                 if getattr(self, n) is not None]
+        parts = ["%s=%.17g" % (n, getattr(self, n)) for n in
+                 _KINDS[self.kind].params if getattr(self, n) is not None]
         if self.loc != 0.0:
             parts.append("loc=%.17g" % self.loc)
         if parts:

@@ -15,8 +15,8 @@ from fabcr import _core
 from fabcr._core import _kernels_py
 from fabcr.errors import DomainError, NumericalError
 from fabcr.gaussian import (_ENDPOINT_TOL, AcceptanceInterval,
-                            ConfidenceRegion, _bisect, _DegenerateWeight,
-                            _march, _np_interval, _solve, acceptance_interval,
+                            ConfidenceRegion, _bisect, _march,
+                            _np_interval, _solve, acceptance_interval,
                             confidence_region, focal_point, p_value_curve,
                             weight, z_interval)
 from fabcr.priors import PriorModel, parse_prior
@@ -90,8 +90,7 @@ def test_weight_degenerate_regime_generic_prior(kappa):
     m = parse_prior("laplace:kappa=%d" % kappa, sigma=0.7)
     for theta0 in (-30.0, 12.0, 500.0):
         for alpha in (0.01, 0.1):
-            with pytest.raises(_DegenerateWeight):
-                _solve(m, theta0, alpha)
+            assert _solve(m, theta0, alpha) is None
             ai = acceptance_interval(m, theta0, alpha)
             outside = (_core.norm_cdf((ai.lo - theta0) / m.sigma)
                        + _core.norm_cdf((theta0 - ai.hi) / m.sigma))
@@ -398,11 +397,8 @@ def _decision(model, theta0, alpha, y, settle):
     """What `_solve` decides about y at theta0: None where it hands over to
     the cutoff formulation, else whether its bounds hold y. With `settle`
     the solve may stop as soon as its bracket settles that."""
-    try:
-        _, lo, hi = _solve(model, theta0, alpha, y if settle else None)
-    except _DegenerateWeight:
-        return None
-    return lo <= y <= hi
+    solved = _solve(model, theta0, alpha, y if settle else None)
+    return None if solved is None else solved[1] <= y <= solved[2]
 
 
 def _assert_early_exit_decides_as_the_full_solve(model, alpha, y, thetas):
@@ -422,11 +418,10 @@ def _assert_decisions_near_the_region(model, y, alpha):
                    for k in range(-12, -5) for sign in (1.0, -1.0)]
     _assert_early_exit_decides_as_the_full_solve(model, alpha, y, thetas)
     for theta0 in (reg.focal, reg.lo, reg.hi, 0.5 * (reg.lo + y)):
-        try:
-            _, lo, hi = _solve(model, theta0, alpha)
-        except _DegenerateWeight:
+        solved = _solve(model, theta0, alpha)
+        if solved is None:
             continue
-        for edge in (lo, hi):
+        for edge in solved[1:]:
             for on in (edge, math.nextafter(edge, -math.inf),
                        math.nextafter(edge, math.inf)):
                 _assert_early_exit_decides_as_the_full_solve(

@@ -21,6 +21,7 @@ NON_POSITIVE = NON_FINITE + (0.0, -1.0)
 HS = PriorModel(kind="horseshoe")
 BINOM = nef.NefModel(family="binom", n=8, a=(1.0,), b=1.0)
 POISSON = nef.NefModel(family="poisson", a=(1.0,), p=0.5)
+MULTINOM3 = nef.NefModel(family="multinom", n=3, a=(1.0,) * 3)
 MULTINOM4 = nef.NefModel(family="multinom", n=4, a=(1.0,) * 4)
 SIM = dict(n=30, p=3, sigma_y2=1.0, log_sigma_beta_grid=(0.0,),
            priors=("flat",), alpha=0.1, reps=2, seed=1)
@@ -59,6 +60,8 @@ def _cases():
         yield "PriorModel loc=%r" % v, lambda v=v: PriorModel("flat", loc=v)
         yield ("confidence_region y=%r" % v,
                lambda v=v: gaussian.confidence_region(HS, v, 0.1))
+        yield ("focal_point y=%r" % v,
+               lambda v=v: gaussian.focal_point(HS, v))
         yield ("acceptance_interval theta0=%r" % v,
                lambda v=v: gaussian.acceptance_interval(HS, v, 0.1))
         yield ("p_value_curve y=%r" % v,
@@ -69,6 +72,10 @@ def _cases():
                lambda v=v: gaussian.z_interval(v, 1.0, 0.1))
         yield ("g_alpha_inv t=%r" % v,
                lambda v=v: asymptotics.g_alpha_inv(0.1, v))
+        for model, eta in ((BINOM, v), (POISSON, v), (MULTINOM3, (0.0, v))):
+            yield ("acceptance_set %s eta=%r" % (model.family, eta),
+                   lambda model=model, eta=eta: nef.acceptance_set(
+                       model, eta, 0.1))
         yield ("fit_regression Y=%r" % v, lambda v=v:
                regression.fit_regression(np.eye(2), [1.0, v], sigma2=1.0))
         yield ("ExperimentConfig log_sigma_beta=%r" % v, lambda v=v:
@@ -88,9 +95,22 @@ def _cases():
            lambda: nef.NefModel("binom", n=8, a=(1.0,), b=1.0, p=0.3))
     yield ("NefModel poisson n",
            lambda: nef.NefModel("poisson", n=3, a=(1.0,), p=0.5))
+    # natural parameters of the wrong type or shape, or whose mean-scale
+    # value is not a float
+    for model, eta in ((BINOM, (0.1,)), (BINOM, "0.1"), (POISSON, None),
+                       (MULTINOM3, (0.1, 0.2, 0.3)), (MULTINOM3, (0.1,)),
+                       (MULTINOM3, 0.1), (POISSON, 800.0),
+                       (MULTINOM3, (800.0, 0.0))):
+        yield ("acceptance_set %s eta=%r" % (model.family, eta),
+               lambda model=model, eta=eta: nef.acceptance_set(
+                   model, eta, 0.1))
     # past the supported y and sigma range of the Gaussian-mean regions
     yield ("confidence_region y=1.01e75",
            lambda: gaussian.confidence_region(HS, 1.01e75, 0.1))
+    yield ("focal_point y=1.01e75",
+           lambda: gaussian.focal_point(HS, 1.01e75))
+    yield ("focal_point bp y=1e160",
+           lambda: gaussian.focal_point(parse_prior("bp:a=1,b=0.5"), 1e160))
     yield ("confidence_region sigma=1e-170", lambda: gaussian.confidence_region(
         PriorModel("flat", sigma=1e-170), 0.0, 0.1))
     yield ("confidence_region sigma=1e76", lambda: gaussian.confidence_region(
