@@ -19,10 +19,19 @@ class DomainError(FabcrError, ValueError):
     """Input outside the stated domain of an operation."""
 
 
+def _float(value):
+    """float(value), an int past the float range becoming an infinity of
+    its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def check_alpha(alpha, closed_top=False):
     """alpha as a float in (0, 1), or in (0, 1] with `closed_top`; any other
     value raises DomainError."""
-    alpha = float(alpha)
+    alpha = _float(alpha)
     if not (0.0 < alpha < 1.0 or (closed_top and alpha == 1.0)):
         raise DomainError("alpha must be in (0,%s, got %r"
                           % ("1]" if closed_top else "1)", alpha))
@@ -39,8 +48,9 @@ def check_direction(direction):
 
 
 def check_finite(name, value):
-    """value as a float; a nan or an infinity raises DomainError."""
-    value = float(value)
+    """value as a float; a nan or an infinity (or an int past the float
+    range) raises DomainError."""
+    value = _float(value)
     if not math.isfinite(value):
         raise DomainError("%s must be finite, got %r" % (name, value))
     return value
@@ -48,7 +58,7 @@ def check_finite(name, value):
 
 def check_positive(name, value):
     """value as a finite float > 0; any other value raises DomainError."""
-    value = float(value)
+    value = _float(value)
     if not 0.0 < value < math.inf:
         raise DomainError("%s must be finite and positive, got %r"
                           % (name, value))

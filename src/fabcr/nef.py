@@ -14,6 +14,7 @@ in mean (theta) scale; the estimator theta_hat = F(grad lambda(y)) is the
 point inside the region at every level.
 """
 
+import bisect
 import json
 import math
 import numbers
@@ -53,6 +54,45 @@ def _compositions(total, k, least):
         heads = [h + (c,) for h in heads
                  for c in range(least, total - sum(h) - least * rest + 1)]
     return [h + (total - sum(h),) for h in heads]
+
+
+def _map(fn, x):
+    """The `math` function fn at each element of the array x: numpy's
+    transcendentals are not correctly rounded and may differ by CPU."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+def _row_sum(x):
+    """Each row of the matrix x summed left to right, as `sum` does."""
+    total = x[:, 0]
+    for j in range(1, x.shape[1]):
+        total = total + x[:, j]
+    return total
+
+
+def _softmax(es):
+    """(top, w, z) at each row of the multinomial natural parameters `es`
+    extended by eta_k = 0: the row maximum, w = e^(eta - top) and
+    z = w_1 + ... + w_k, so that F(eta) = w / z and psi = n (top + log z)."""
+    ext = np.concatenate([es, np.zeros((len(es), 1))], axis=1)
+    top = ext.max(axis=1)
+    w = _map(math.exp, ext - top[:, None])
+    return top, w, _row_sum(w)
+
+
+def _poisson_tops(thetas):
+    """The last Poisson support point m = theta + 12 sqrt(theta + 1) + 30 at
+    each mean in the array `thetas`, as ints: by Bernstein's inequality the
+    null tail P(Y > m) is below exp(-60) at every theta. An m above 1e8
+    raises NumericalError."""
+    tops = np.floor(thetas + 12.0 * _map(math.sqrt, thetas + 1.0) + 30.0)
+    runaway = tops > 1e8
+    if runaway.any():
+        r = int(np.argmax(runaway))
+        raise NumericalError("poisson support truncation runaway",
+                             theta=float(thetas[r]), support_max=int(tops[r]))
+    return tops.astype(int)
 
 
 @dataclass(frozen=True)
@@ -103,16 +143,10 @@ class NefModel:
         return list(range(self._poisson_top(eta) + 1))
 
     def _poisson_top(self, eta=None):
-        """The last Poisson support point m = theta + 12 sqrt(theta + 1) + 30
-        (theta = exp(eta), or the prior mean when eta is None): by
-        Bernstein's inequality the null tail P(Y > m) is below exp(-60) at
-        every theta. An m above 1e8 raises NumericalError."""
+        """`_poisson_tops` at theta = exp(eta), or at the prior mean when eta
+        is None."""
         theta = math.exp(eta) if eta is not None else self.a[0] * (1 - self.p) / self.p
-        m = int(theta + 12.0 * math.sqrt(theta + 1.0) + 30.0)
-        if m > 10 ** 8:
-            raise NumericalError("poisson support truncation runaway",
-                                 theta=theta, support_max=m)
-        return m
+        return int(_poisson_tops(np.array([theta]))[0])
 
     # -- prior cumulant lambda and its gradient ----------------------------
 
@@ -182,18 +216,40 @@ class NefModel:
     # -- natural parameterization ------------------------------------------
 
     def eta_of_theta(self, theta):
+        """The natural parameter of one mean-scale point (see `_etas`)."""
+        eta = self._etas([theta])[0]
+        return tuple(eta.tolist()) if self.k else float(eta)
+
+    def _etas(self, thetas):
+        """The natural parameter of each mean-scale point in `thetas`, one
+        row of an array each: log(theta / (1 - theta)) (binomial), log theta
+        (Poisson), the k - 1 values log(theta_j / theta_k) (multinomial). A
+        point that is not one real (k reals for the multinomial), lies
+        outside (0, 1), is a non-finite or nonpositive Poisson mean, or is
+        off the open simplex raises DomainError."""
+        try:
+            th = np.asarray(thetas, dtype=float)
+        except (OverflowError, ValueError):
+            th = None
+        if th is None or th.shape[1:] != ((self.k,) if self.k else ()):
+            raise DomainError("%s: theta must be %s, got %r" % (
+                self.family, "k = %d reals" % self.k if self.k
+                else "one real", thetas))
+        if self.family == "multinom":
+            if (th <= 0).any() or (np.abs(_row_sum(th) - 1.0) > 1e-9).any():
+                raise DomainError("multinom: theta must be a length-k point "
+                                  "in the open simplex")
+            return _map(math.log, th[:, :-1] / th[:, -1:])
         if self.family == "binom":
-            if not (0.0 < theta < 1.0):
-                raise DomainError("binom: theta must be in (0,1), got %r" % (theta,))
-            return math.log(theta / (1.0 - theta))
-        if self.family == "poisson":
-            return math.log(check_positive("poisson: theta", theta))
-        th = tuple(float(v) for v in theta)
-        if len(th) != len(self.a) or any(v <= 0 for v in th) \
-                or abs(sum(th) - 1.0) > 1e-9:
-            raise DomainError("multinom: theta must be a length-k point in "
-                              "the open simplex")
-        return tuple(math.log(v / th[-1]) for v in th[:-1])
+            bad = ~((0.0 < th) & (th < 1.0))
+            if bad.any():
+                raise DomainError("binom: theta must be in (0,1), got %r"
+                                  % (thetas[int(np.argmax(bad))],))
+            return _map(math.log, th / (1.0 - th))
+        bad = ~((0.0 < th) & (th < math.inf))
+        if bad.any():
+            check_positive("poisson: theta", thetas[int(np.argmax(bad))])
+        return _map(math.log, th)
 
     def mean_map(self, eta):
         """F(eta): probability/mean scale value of the natural parameter."""
@@ -201,21 +257,8 @@ class NefModel:
             return 1.0 / (1.0 + math.exp(-eta))
         if self.family == "poisson":
             return math.exp(eta)
-        es = tuple(eta) + (0.0,)
-        m = max(es)
-        ws = [math.exp(e - m) for e in es]
-        z = sum(ws)
-        return tuple(w / z for w in ws)
-
-    def _psi(self, eta):
-        """The log-partition function psi(eta)."""
-        if self.family == "binom":
-            return self.n * math.log1p(math.exp(eta)) if eta < 500 else self.n * eta
-        if self.family == "poisson":
-            return math.exp(eta)
-        es = tuple(eta) + (0.0,)
-        m = max(es)
-        return self.n * (m + math.log(sum(math.exp(e - m) for e in es)))
+        _, w, z = _softmax(np.array([eta], dtype=float))
+        return tuple((w[0] / z[0]).tolist())
 
     def fab_estimator(self, y):
         """(eta_hat, theta_hat): posterior-mean natural parameter and its
@@ -262,23 +305,40 @@ def _terms(model, support):
     return ys, lam, base
 
 
+def _log_partition(model, es):
+    """(psi, log theta) at each row of the natural parameters `es`: psi(eta)
+    as an array and, for the multinomial, the log cell probabilities
+    log theta_j (one column per cell; None for the other families). The
+    binomial takes psi = n eta from eta = 500 on, where n log1p(e^eta) is
+    n eta to double precision and e^eta soon overflows."""
+    if model.family == "binom":
+        psi = model.n * es
+        small = es < 500
+        psi[small] = model.n * _map(math.log1p, _map(math.exp, es[small]))
+        return psi, None
+    if model.family == "poisson":
+        return _map(math.exp, es), None
+    top, w, z = _softmax(es)
+    return model.n * (top + _map(math.log, z)), _map(math.log, w / z[:, None])
+
+
 def _rows(model, terms, etas):
     """(lambda_eta, log f_eta): one row per natural parameter in `etas`, one
     column per support point of `terms`. numpy does only the correctly
-    rounded +, - and x, in the order of the scalar formulas, and the
-    per-row transcendentals (psi, log theta_j) come from `math`, so each
-    entry is the same float at any block size and on any CPU."""
+    rounded +, -, x, / and max, in the order of the scalar formulas, and
+    the transcendentals (psi, log theta_j) are `math` functions mapped over
+    each block's rows, so each entry is the same float at any block size
+    and on any CPU."""
     ys, lam, base = terms
-    psi = np.array([model._psi(eta) for eta in etas])[:, None]
-    es = np.array(etas)
+    es = np.asarray(etas, dtype=float)
+    psi, logt = _log_partition(model, es)
+    psi = psi[:, None]
     if model.family == "multinom":
         # the dot product eta . y left to right, column by column (np.dot
         # may use BLAS or fused multiply-adds)
         dot = es[:, :1] * ys[:, 0]
         for j in range(1, model.k - 1):
             dot = dot + es[:, j:j + 1] * ys[:, j]
-        logt = np.array([[math.log(t) for t in model.mean_map(eta)]
-                         for eta in etas])
         head, cells = base
         lp = head
         for j in range(model.k):
@@ -294,15 +354,21 @@ def _rows(model, terms, etas):
     return (lam - ey) + psi, lp
 
 
-def _accepted(model, terms, etas, alpha, sizes=None):
-    """(members, coverage) of the acceptance sets at each natural parameter
-    in `etas`: a (rows x support) boolean matrix and each set's summed null
-    mass. Each row is sorted stably by lambda_eta (the support is in
-    ascending order, so ties fall in the order of y), its masses are
-    exponentiated with `math.exp` and summed in that order, and a point is
-    a member unless some prefix reaches 1 - alpha and its lambda_eta lies
-    past the tie cutoff of the first such prefix. `sizes` limits each row
-    to its first sizes[r] points (the Poisson support grows with theta)."""
+def _accepted(model, terms, etas, alpha, sizes=None, prefix=None):
+    """(members, coverage, prefix) of the acceptance sets at each natural
+    parameter in `etas`: a (rows x support) boolean matrix, each set's
+    summed null mass, and the prefix width used. Each row is sorted stably
+    by lambda_eta (the support is in ascending order, so ties fall in the
+    order of y), its masses are exponentiated with `math.exp` and summed in
+    that order, and a point is a member unless some prefix reaches 1 - alpha
+    and its lambda_eta lies past the tie cutoff of the first such prefix.
+    Only the first `prefix` ranked masses (all of them when None) are
+    exponentiated: prefix is doubled until every row's sum reaches
+    1 - alpha and every member lies within it (or it spans the row). A
+    prefix of a sequential cumsum is the same floats as the full one, so
+    the result does not depend on the `prefix` passed in. `sizes` limits
+    each row to its first sizes[r] points (the Poisson support grows with
+    theta)."""
     if sizes is not None:
         terms = tuple(t[:max(sizes)] for t in terms)
     lv, lp = _rows(model, terms, etas)
@@ -310,22 +376,31 @@ def _accepted(model, terms, etas, alpha, sizes=None):
         beyond = np.arange(lv.shape[1]) >= np.array(sizes)[:, None]
         lv[beyond], lp[beyond] = math.inf, -math.inf
     order = np.argsort(lv, axis=1, kind="stable")
-    ranked = np.take_along_axis(lv, order, axis=1)
-    mass = np.fromiter(map(math.exp, np.take_along_axis(lp, order, axis=1)
-                           .ravel().tolist()), float, lp.size)
-    mass = np.cumsum(mass.reshape(lp.shape), axis=1)
-    reached = mass >= 1.0 - alpha
-    rows = np.arange(len(etas))
-    level = ranked[rows, reached.argmax(axis=1)]
-    cutoff = np.where(reached.any(axis=1),
-                      level + _TIE_REL * np.maximum(1.0, np.abs(level)), math.inf)
-    members = lv <= cutoff[:, None]
-    coverage = mass[rows, members.sum(axis=1) - 1]
+    rows = np.arange(len(lv))
+    prefix = lv.shape[1] if prefix is None else prefix
+    while True:
+        prefix = min(prefix, lv.shape[1])
+        ranked = order[:, :prefix]
+        mass = np.cumsum(_map(math.exp, lp[rows[:, None], ranked]), axis=1)
+        reached = mass >= 1.0 - alpha
+        level = lv[rows, ranked[rows, reached.argmax(axis=1)]]
+        cutoff = np.where(reached.any(axis=1),
+                          level + _TIE_REL * np.maximum(1.0, np.abs(level)),
+                          math.inf)
+        members = lv <= cutoff[:, None]
+        count = members.sum(axis=1)
+        # a row whose prefix falls short of 1 - alpha has every point a
+        # member, so it too asks for a wider prefix
+        if (count <= prefix).all() or prefix == lv.shape[1]:
+            break
+        prefix *= 2
+    coverage = mass[rows, count - 1]
     if model.family == "poisson" and not np.isfinite(cutoff).all():
         r = int(np.argmax(cutoff))
-        raise NumericalError("poisson truncation insufficient", eta=etas[r],
+        raise NumericalError("poisson truncation insufficient",
+                             eta=float(np.asarray(etas)[r]),
                              mass=float(coverage[r]))
-    return members, coverage
+    return members, coverage, prefix
 
 
 def _check_eta(model, eta):
@@ -333,7 +408,9 @@ def _check_eta(model, eta):
     and the Poisson, a tuple of k - 1 floats for the multinomial. An eta of
     another type or shape, a non-finite one, or one whose mean-scale value
     is not a float (e^eta overflows for the Poisson, a cell of F(eta)
-    underflows to 0 for the multinomial) raises DomainError."""
+    underflows to 0 for the multinomial), or one whose product with n or
+    with the largest Poisson support point overflows (so the rows' eta . y
+    would) raises DomainError."""
     k = model.k
     try:
         values = tuple(eta) if k else (eta,)
@@ -350,6 +427,10 @@ def _check_eta(model, eta):
     if k and 0.0 in model.mean_map(values):
         raise DomainError("multinom: a cell of F(eta) underflows to 0 at "
                           "eta=%r" % (values,))
+    most = model.n if model.n is not None else model._poisson_top(values[0])
+    if not math.isfinite(max(map(abs, values)) * most):
+        raise DomainError("%s: eta=%r times the largest support point %d "
+                          "overflows" % (model.family, eta, most))
     return values if k else values[0]
 
 
@@ -367,7 +448,8 @@ def acceptance_set(model: NefModel, eta, alpha):
     alpha = check_alpha(alpha)
     eta = _check_eta(model, eta)
     support = model.support(eta=eta if model.family == "poisson" else None)
-    members, coverage = _accepted(model, _terms(model, support), [eta], alpha)
+    members, coverage, _ = _accepted(model, _terms(model, support), [eta],
+                                     alpha)
     return DiscreteAcceptanceSet(
         eta=eta, alpha=alpha,
         members=tuple(y for y, m in zip(support, members[0]) if m),
@@ -388,6 +470,12 @@ class NefRegion:
     grid: Optional[float] = None
 
     def contains(self, theta):
+        """Whether theta lies in the reported region. Interval ends are grid
+        points, so this is exact only on the grid: a theta between an end
+        and its outer grid neighbour may be accepted by the construction
+        yet fall outside, e.g. 0.417 for binom:n=30,a=1,b=1 at y = 17,
+        alpha = 0.1, reported as [0.41700000000000004, 0.7173]. A
+        multinomial theta is in only if it is one of the region's cells."""
         if self.intervals is not None:
             return any(lo <= theta <= hi for lo, hi in self.intervals)
         return tuple(theta) in set(self.cells)
@@ -405,34 +493,42 @@ class NefRegion:
 
 def _blocks(sizes):
     """[start, stop) runs of consecutive rows, each run holding at most
-    _BLOCK matrix elements (or one row) at the width of its widest row."""
-    start = width = 0
-    for r, size in enumerate(sizes):
-        width = max(width, size)
-        if r > start and (r - start + 1) * width > _BLOCK:
-            yield start, r
-            start, width = r, size
-    yield start, len(sizes)
+    _BLOCK matrix elements (or one row) at the width of its widest row. The
+    row sizes are nondecreasing, so that row is a run's last, and each run
+    ends at the first row that would overfill it, found by bisection."""
+    start = 0
+    while True:
+        stop = bisect.bisect_right(
+            range(len(sizes)), _BLOCK, lo=start + 1,
+            key=lambda r: (r - start + 1) * sizes[r])
+        yield start, min(stop, len(sizes))
+        if stop >= len(sizes):
+            return
+        start = stop
 
 
 def _grid_flags(model, y, etas, alpha):
     """Whether y is in the acceptance set at each natural parameter of
-    `etas`, block by block over terms computed once. A Poisson row's support
-    is {0..max(m, y)}, m being `_poisson_top` at its eta: it always holds y.
-    Elsewhere this is `acceptance_set(model, eta, alpha)`'s membership."""
+    `etas` (in ascending order), block by block over terms computed once,
+    each block's exponentials starting from the prefix width the block
+    before it needed. A Poisson row's support is {0..max(m, y)}, m being
+    `_poisson_tops` at e^eta: it always holds y. Elsewhere this is
+    `acceptance_set(model, eta, alpha)`'s membership."""
+    etas = np.asarray(etas, dtype=float)
     poisson = model.family == "poisson"
     if poisson:
-        sizes = [max(model._poisson_top(eta), y) + 1 for eta in etas]
-        support = list(range(max(sizes)))
+        sizes = np.maximum(_poisson_tops(_map(math.exp, etas)), y) + 1
+        support = list(range(sizes.max()))
     else:
         support = model.support()
         sizes = [len(support)] * len(etas)
     terms = _terms(model, support)
     col = support.index(y)
-    flags = []
+    flags, prefix = [], 1
     for start, stop in _blocks(sizes):
-        members = _accepted(model, terms, etas[start:stop], alpha,
-                            sizes[start:stop] if poisson else None)[0]
+        members, _, prefix = _accepted(model, terms, etas[start:stop], alpha,
+                                       sizes[start:stop] if poisson else None,
+                                       prefix)
         flags += members[:, col].tolist()
     return flags
 
@@ -523,8 +619,10 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     y = model.observation(y)
     step, thetas = theta_grid(model, y, alpha, grid)
     eta_hat, theta_hat = model.fab_estimator(y)
-    flags = _grid_flags(model, y, [model.eta_of_theta(t) for t in thetas],
-                        alpha)
+    # _BLOCK thetas at a time, so that no list of floats spans the grid
+    etas = np.concatenate([model._etas(thetas[i:i + _BLOCK])
+                           for i in range(0, len(thetas), _BLOCK)])
+    flags = _grid_flags(model, y, etas, alpha)
     member = _grid_flags(model, y, [eta_hat], alpha)[0]
 
     if model.family == "multinom":

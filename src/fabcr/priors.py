@@ -212,4 +212,4 @@ def parse_prior(spec, sigma=1.0):
     """
     kind, kv = _parse_spec(spec, "prior", KINDS)
     _refuse_extra(kind, set(kv) - {"loc"})
-    return PriorModel(kind=kind, sigma=float(sigma), **kv)
+    return PriorModel(kind=kind, sigma=check_positive("sigma", sigma), **kv)

@@ -40,14 +40,23 @@ class RegressionProblem:
         return self.X.shape[1]
 
 
+def _floats(value):
+    """value as a float array; an int past the float range raises
+    DomainError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise DomainError("X, Y and Sigma must be finite") from None
+
+
 def fit_regression(X, Y, Sigma=None, sigma2=None):
     """Fit the linear model; exactly one of Sigma / sigma2 may be given.
 
     With neither, sigma2 is estimated by the unbiased residual variance
     RSS/(n-p) (requires n > p) and the fit is flagged approximate.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+    X = _floats(X)
+    Y = _floats(Y).reshape(-1)
     if X.ndim != 2:
         raise DomainError("X must be a 2-d matrix")
     n, p = X.shape
@@ -58,7 +67,7 @@ def fit_regression(X, Y, Sigma=None, sigma2=None):
     if Sigma is not None and sigma2 is not None:
         raise DomainError("give Sigma or sigma2, not both")
     if Sigma is not None:
-        Sigma = np.asarray(Sigma, dtype=float)
+        Sigma = _floats(Sigma)
         if Sigma.shape != (n, n):
             raise DomainError("Sigma must be n x n")
     if not all(np.isfinite(v).all() for v in (X, Y, Sigma) if v is not None):

@@ -1,6 +1,7 @@
 """Every public entry point refuses an input outside its domain with
-DomainError or SpecParseError before it computes: nan and +-inf wherever a
-real number is taken, and also 0 and -1 wherever a positive one is.
+DomainError or SpecParseError before it computes: nan, +-inf and an int past
+the float range wherever a real number is taken, and also 0 and -1 wherever
+a positive one is.
 
 The kernels and numpy's QR are replaced by a tripwire for these tests, so an
 input that reaches any computation fails the test rather than the kernel.
@@ -15,7 +16,8 @@ from fabcr import _core, asymptotics, gaussian, nef, regression, simulate
 from fabcr.errors import DomainError, SpecParseError
 from fabcr.priors import PriorModel, parse_prior
 
-NON_FINITE = (math.nan, math.inf, -math.inf)
+# an int past the float range is no finite float either
+NON_FINITE = (math.nan, math.inf, -math.inf, 10 ** 400)
 NON_POSITIVE = NON_FINITE + (0.0, -1.0)
 
 HS = PriorModel(kind="horseshoe")
@@ -95,12 +97,14 @@ def _cases():
            lambda: nef.NefModel("binom", n=8, a=(1.0,), b=1.0, p=0.3))
     yield ("NefModel poisson n",
            lambda: nef.NefModel("poisson", n=3, a=(1.0,), p=0.5))
-    # natural parameters of the wrong type or shape, or whose mean-scale
-    # value is not a float
+    # natural parameters of the wrong type or shape, whose mean-scale value
+    # is not a float, or whose product with n or with the largest Poisson
+    # support point (42 at eta = -1e308) is not a float
     for model, eta in ((BINOM, (0.1,)), (BINOM, "0.1"), (POISSON, None),
                        (MULTINOM3, (0.1, 0.2, 0.3)), (MULTINOM3, (0.1,)),
                        (MULTINOM3, 0.1), (POISSON, 800.0),
-                       (MULTINOM3, (800.0, 0.0))):
+                       (MULTINOM3, (800.0, 0.0)), (BINOM, 1e308),
+                       (BINOM, -1e308), (POISSON, -1e308)):
         yield ("acceptance_set %s eta=%r" % (model.family, eta),
                lambda model=model, eta=eta: nef.acceptance_set(
                    model, eta, 0.1))
@@ -153,7 +157,8 @@ def tripwire(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [c for _, c in _CASES],
-                         ids=[i for i, _ in _CASES])
+                         ids=[i.replace(repr(10 ** 400), "10**400")
+                              for i, _ in _CASES])
 def test_refused_before_computing(tripwire, call):
     with pytest.raises((DomainError, SpecParseError)):
         call()

@@ -7,7 +7,9 @@ builds one acceptance set at a time.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -643,16 +645,54 @@ def test_discrete_coverage_lower_bound():
 # -- the batched grid pass against the scalar loop ---------------------------
 
 
-def _scalar_lam_eta(m, eta, y):
-    """lambda(y) - eta . y + psi(eta), one point at a time."""
+def _scalar_eta(m, theta):
+    """The natural parameter of theta, one point at a time."""
     if m.family == "binom":
-        psi = m.n * math.log1p(math.exp(eta)) if eta < 500 else m.n * eta
-        return m.lam(y) - eta * y + psi
+        return math.log(theta / (1.0 - theta))
     if m.family == "poisson":
-        return m.lam(y) - eta * y + math.exp(eta)
+        return math.log(theta)
+    return tuple(math.log(t / theta[-1]) for t in theta[:-1])
+
+
+def _scalar_softmax(eta):
+    """(top, w, z) of the multinomial eta extended by 0: the largest entry,
+    e^(eta_j - top) and their sum, left to right."""
     es = tuple(eta) + (0.0,)
     top = max(es)
-    psi = m.n * (top + math.log(sum(math.exp(e - top) for e in es)))
+    ws = [math.exp(e - top) for e in es]
+    z = 0.0
+    for w in ws:
+        z += w
+    return top, ws, z
+
+
+def _scalar_psi(m, eta):
+    """The log-partition function psi(eta)."""
+    if m.family == "binom":
+        return m.n * math.log1p(math.exp(eta)) if eta < 500 else m.n * eta
+    if m.family == "poisson":
+        return math.exp(eta)
+    top, _, z = _scalar_softmax(eta)
+    return m.n * (top + math.log(z))
+
+
+def _scalar_mean(m, eta):
+    """F(eta), the multinomial cell probabilities."""
+    _, ws, z = _scalar_softmax(eta)
+    return tuple(w / z for w in ws)
+
+
+def _scalar_top(eta):
+    """The last Poisson support point at theta = e^eta."""
+    theta = math.exp(eta)
+    return int(theta + 12.0 * math.sqrt(theta + 1.0) + 30.0)
+
+
+def _scalar_lam_eta(m, eta, y):
+    """lambda(y) - eta . y + psi(eta), one point at a time."""
+    psi = _scalar_psi(m, eta)
+    if m.family != "multinom":
+        return m.lam(y) - eta * y + psi
     dot = 0.0
     for e, v in zip(eta, y[:-1]):
         dot += e * v
@@ -668,7 +708,7 @@ def _scalar_log_pmf(m, eta, y):
     if m.family == "poisson":
         return y * eta - math.exp(eta) - lg(y + 1.0)
     out = lg(m.n + 1.0)
-    for v, t in zip(y, m.mean_map(eta)):
+    for v, t in zip(y, _scalar_mean(m, eta)):
         out += v * math.log(t) - lg(v + 1.0)
     return out
 
@@ -747,3 +787,166 @@ def test_region_work_is_per_support_point(monkeypatch):
     confidence_region_nef(parse_family("binom:n=%d,a=0.5,b=2" % n), 11, 0.1)
     assert calls["acceptance_set"] == 0
     assert calls["log_gamma"] <= 10 * (n + 1) + 10
+
+
+# -- the batched rows against the scalar formulas ----------------------------
+
+
+@pytest.mark.parametrize("spec, theta", [
+    ("binom:n=8,a=1,b=1", t) for t in (0.0, 1.0, 1.5, -0.1, math.nan,
+                                       10 ** 400, (0.5, 2.0))] + [
+    ("poisson:a=1,p=0.5", t) for t in (0.0, -1.0, math.inf, math.nan,
+                                       10 ** 400)] + [
+    ("multinom:n=3,a1=1,a2=1,a3=1", t) for t in (
+        (0.5, 0.5, 0.0), (0.2, 0.2, 0.2), (0.5, 0.5), 0.5,
+        (10 ** 400, 0.5, 0.5))],
+    ids=lambda v: repr(v).replace(repr(10 ** 400), "10**400")[:40])
+def test_eta_of_theta_refuses_points_outside_the_mean_space(spec, theta):
+    m = parse_family(spec)
+    with pytest.raises(DomainError):
+        m.eta_of_theta(theta)
+    # a grid with one such point is refused as a whole
+    good = 0.5 if m.family != "multinom" else (0.25, 0.25, 0.5)
+    with pytest.raises(DomainError):
+        m._etas([good, theta, good])
+
+
+def _grid_cases():
+    """(model, thetas, etas): the default grid of a binomial, a Poisson and
+    multinomials with k = 2, 3 and 4, with the binomial's etas reaching past
+    500, where psi takes the n eta form."""
+    m = parse_family("binom:n=30,a=0.5,b=2")
+    thetas = theta_grid(m, 11, 0.1)[1]
+    yield m, thetas, [_scalar_eta(m, t) for t in thetas] + [
+        499.5, 500.0, 500.5, 709.0, 1e4, -1e4]
+    for spec, y in (("poisson:a=1,p=0.5", 20),
+                    ("multinom:n=5,a1=0.5,a2=2", (2, 3)),
+                    ("multinom:n=4,a1=1,a2=0.5,a3=2", (1, 1, 2)),
+                    ("multinom:n=1,a1=1,a2=0.5,a3=1,a4=2", (0, 0, 1, 0))):
+        m = parse_family(spec)
+        thetas = theta_grid(m, y, 0.1)[1]
+        yield m, thetas, [_scalar_eta(m, t) for t in thetas]
+
+
+@pytest.mark.parametrize("m, thetas, etas", list(_grid_cases()),
+                         ids=lambda v: v.spec_string()
+                         if isinstance(v, NefModel) else "")
+def test_batched_eta_psi_log_theta_and_tops_equal_the_scalar_forms(
+        m, thetas, etas):
+    # exact equality: the arrays are built from the same float operations
+    assert m._etas(thetas).tolist() == [
+        list(e) if m.k else e for e in etas[:len(thetas)]]
+    assert [m.eta_of_theta(t) for t in thetas[::97]] == etas[:len(thetas):97]
+    psi, logt = nef._log_partition(m, np.array(etas))
+    assert psi.tolist() == [_scalar_psi(m, e) for e in etas]
+    if m.family == "multinom":
+        assert logt.tolist() == [[math.log(t) for t in _scalar_mean(m, e)]
+                                 for e in etas]
+        assert [m.mean_map(e) for e in etas[::97]] == [
+            _scalar_mean(m, e) for e in etas[::97]]
+    if m.family == "poisson":
+        tops = nef._poisson_tops(nef._map(math.exp, np.array(etas)))
+        assert tops.tolist() == [_scalar_top(e) for e in etas]
+        assert [m._poisson_top(e) for e in etas[::97]] == [
+            _scalar_top(e) for e in etas[::97]]
+
+
+def _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha):
+    """The batched acceptance sets at `etas` are the scalar loop's, from a
+    prefix of 1, 3 or the full width, and from `acceptance_set`."""
+    support = sorted({y for eta in etas for y in m.support(eta=eta)})
+    sizes = [len(m.support(eta=eta)) for eta in etas] \
+        if m.family == "poisson" else None
+    terms = nef._terms(m, support)
+    scalar = [_scalar_acceptance(m, eta, alpha) for eta in etas]
+    for prefix in (1, 3, len(support)):
+        members, coverage, used = nef._accepted(m, terms, etas, alpha, sizes,
+                                                prefix)
+        assert [[y for y, keep in zip(support, row) if keep]
+                for row in members.tolist()] == [s[0] for s in scalar]
+        assert coverage.tolist() == [s[1] for s in scalar]
+        assert members.sum(axis=1).max() <= used <= len(support)
+    for eta, (members, acc) in zip(etas, scalar):
+        got = acceptance_set(m, eta, alpha)
+        assert (list(got.members), got.attained_coverage) == (members, acc)
+
+
+@pytest.mark.parametrize("alpha", (0.01, 0.1, 0.5))
+def test_prefix_grows_to_the_top_of_the_poisson_grid(alpha):
+    # at the grid's top (theta near 1260) the support holds about 1,700
+    # points and the acceptance set about 500 of them, so the prefix
+    # doubles from 1 up to 512 or 1024
+    m = parse_family("poisson:a=1,p=0.5")
+    etas = [m.eta_of_theta(t) for t in theta_grid(m, 20, alpha)[1][-3:]]
+    _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha)
+    assert _grid_flags(m, 20, etas, alpha) == [
+        20 in _scalar_acceptance(m, eta, alpha)[0] for eta in etas]
+
+
+@pytest.mark.parametrize("alpha", (0.01, 0.05, 0.1, 0.2, 0.5))
+def test_prefix_takes_the_sterne_ties(alpha):
+    # the uniform-prior binomial at theta = 0.5 ranks y and n - y equal
+    m = parse_family("binom:n=30,a=1,b=1")
+    _assert_any_prefix_accepts_as_the_scalar_loop(m, [0.0, 1e-3, -0.25],
+                                                  alpha)
+    members = acceptance_set(m, 0.0, alpha).members
+    assert members == tuple(range(30 - members[-1], members[-1] + 1))
+
+
+def test_multinomial_mass_tie_keeps_its_float_decision():
+    # in exact rationals the prefix by lambda_eta reaches 9/10 at rank 19
+    # and y is rank 20, so y would be rejected; the float sums keep it.
+    # Pinned as computed today: an exact decision at such ties would move
+    # this flag and the frozen nef_mix references together
+    m = parse_family("multinom:n=4,a1=1,a2=0.5,a3=1,a4=0.5")
+    y, cell = (0, 1, 2, 1), (18, 12, 6, 24)
+    eta = m.eta_of_theta(tuple(c / 60 for c in cell))
+    _assert_any_prefix_accepts_as_the_scalar_loop(m, [eta], 0.1)
+    aset = acceptance_set(m, eta, 0.1)
+    assert y in aset.members
+    assert aset.attained_coverage == 0.9239999999999995
+    assert _grid_flags(m, y, [eta], 0.1) == [True]
+    assert tuple(c / 60 for c in cell) in confidence_region_nef(
+        m, y, 0.1).cells
+
+
+def _blocks_row_by_row(sizes):
+    """The runs of `nef._blocks`, found by walking every row."""
+    start = width = 0
+    for r, size in enumerate(sizes):
+        width = max(width, size)
+        if r > start and (r - start + 1) * width > nef._BLOCK:
+            yield start, r
+            start, width = r, size
+    yield start, len(sizes)
+
+
+def test_blocks_by_bisection_are_the_row_by_row_runs():
+    rnd = random.Random(20241020)
+    for _ in range(400):
+        n = rnd.choice((0, 1, 2, 5, 50, 500, 5000))
+        most = rnd.choice((1, 4, 40, 1500, 5000))
+        sizes = sorted(rnd.randint(1, most) for _ in range(n))
+        assert list(nef._blocks(sizes)) == list(_blocks_row_by_row(sizes))
+        assert list(nef._blocks(np.array(sizes, dtype=int))) == list(
+            _blocks_row_by_row(sizes))
+
+
+def test_extreme_eta_answers_without_warnings():
+    # eta times n (or the largest Poisson support point) is still a float
+    binom = parse_family("binom:n=8,a=1,b=1")
+    assert acceptance_set(binom, 1e307, 0.1).members == (8,)
+    assert acceptance_set(binom, -1e307, 0.1).members == (0,)
+    poisson = parse_family("poisson:a=1,p=0.5")
+    assert acceptance_set(poisson, -1e306, 0.1).members == (0,)
+
+
+def test_contains_is_exact_only_on_the_grid():
+    # interval ends are grid points: the float 0.417 lies one float below
+    # the reported end, outside, although its acceptance set holds y
+    m = parse_family("binom:n=30,a=1,b=1")
+    reg = confidence_region_nef(m, 17, 0.1)
+    assert reg.intervals == ((0.41700000000000004, 0.7173),)
+    assert 17 in acceptance_set(m, m.eta_of_theta(0.417), 0.1).members
+    assert not reg.contains(0.417)
+    assert reg.contains(0.41700000000000004)
