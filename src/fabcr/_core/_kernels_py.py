@@ -72,14 +72,11 @@ _ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 
 
 def _quantile_approx(p):
+    """At p <= 0.5 (or nan), the only half norm_quantile asks for."""
     a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
     if p < 0.02425:
         q = math.sqrt(-2.0 * math.log(p))
         return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-               ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 0.97575:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
                ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
     q = p - 0.5
     r = q * q

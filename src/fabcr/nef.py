@@ -43,17 +43,22 @@ _TIE_REL = 1e-12
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # matrix elements (grid rows x support points) evaluated at once
 _BLOCK = 4096
+# the most points a Poisson support may have: a region's terms and rows take
+# about 100 bytes per point
+_SUPPORT_MAX = 10 ** 7
 
 
 def _compositions(total, k, least):
     """The k-tuples of integers >= `least` summing to `total`, in
-    lexicographic order."""
-    heads = [()]
-    for rest in range(k - 1, 0, -1):
-        # leave at least `least` for each of the `rest` entries still to come
-        heads = [h + (c,) for h in heads
-                 for c in range(least, total - sum(h) - least * rest + 1)]
-    return [h + (total - sum(h),) for h in heads]
+    lexicographic order, as the rows of an int array."""
+    free = total - k * least
+    heads = np.zeros((1, 0), int)
+    for _ in range(k - 1):
+        # each head takes every next entry that leaves `least` for the rest
+        room = free - heads.sum(axis=1) + 1
+        nxt = np.arange(room.sum()) - np.repeat(np.cumsum(room) - room, room)
+        heads = np.column_stack([np.repeat(heads, room, axis=0), nxt])
+    return np.column_stack([heads, free - heads.sum(axis=1)]) + least
 
 
 def _map(fn, x):
@@ -84,10 +89,10 @@ def _softmax(es):
 def _poisson_tops(thetas):
     """The last Poisson support point m = theta + 12 sqrt(theta + 1) + 30 at
     each mean in the array `thetas`, as ints: by Bernstein's inequality the
-    null tail P(Y > m) is below exp(-60) at every theta. An m above 1e8
-    raises NumericalError."""
+    null tail P(Y > m) is below exp(-60) at every theta. An m above
+    _SUPPORT_MAX raises NumericalError."""
     tops = np.floor(thetas + 12.0 * _map(math.sqrt, thetas + 1.0) + 30.0)
-    runaway = tops > 1e8
+    runaway = tops > _SUPPORT_MAX
     if runaway.any():
         r = int(np.argmax(runaway))
         raise NumericalError("poisson support truncation runaway",
@@ -139,7 +144,7 @@ class NefModel:
         if self.family == "binom":
             return list(range(self.n + 1))
         if self.family == "multinom":
-            return _compositions(self.n, len(self.a), 0)
+            return list(map(tuple, _compositions(self.n, self.k, 0).tolist()))
         return list(range(self._poisson_top(eta) + 1))
 
     def _poisson_top(self, eta=None):
@@ -441,15 +446,25 @@ def acceptance_set(model: NefModel, eta, alpha):
     the target mass is reached; points tied with the cutoff are included
     (over-coverage is permitted), with deterministic ordering by y. A set
     whose summed mass never reaches the target holds every point; for the
-    Poisson, whose support is truncated, that raises NumericalError. An
+    Poisson, whose support is truncated, that raises NumericalError. The
+    Poisson support's top is doubled while it is a member (lambda_eta is
+    convex, so the members are a run of integers), up to _SUPPORT_MAX. An
     alpha outside (0, 1) or an eta refused by `_check_eta` raises
     DomainError before any computation.
     """
     alpha = check_alpha(alpha)
     eta = _check_eta(model, eta)
     support = model.support(eta=eta if model.family == "poisson" else None)
-    members, coverage, _ = _accepted(model, _terms(model, support), [eta],
-                                     alpha)
+    while True:
+        members, coverage, _ = _accepted(model, _terms(model, support),
+                                         [eta], alpha)
+        if model.family != "poisson" or not members[0, -1]:
+            break
+        top = 2 * support[-1]
+        if top > _SUPPORT_MAX:
+            raise NumericalError("poisson support truncation runaway",
+                                 eta=eta, support_max=top)
+        support = list(range(top + 1))
     return DiscreteAcceptanceSet(
         eta=eta, alpha=alpha,
         members=tuple(y for y, m in zip(support, members[0]) if m),
@@ -509,10 +524,10 @@ def _blocks(sizes):
 
 def _grid_flags(model, y, etas, alpha):
     """Whether y is in the acceptance set at each natural parameter of
-    `etas` (in ascending order), block by block over terms computed once,
-    each block's exponentials starting from the prefix width the block
-    before it needed. A Poisson row's support is {0..max(m, y)}, m being
-    `_poisson_tops` at e^eta: it always holds y. Elsewhere this is
+    `etas` (in ascending order), as a bool array, block by block over terms
+    computed once, each block's exponentials starting from the prefix width
+    the block before it needed. A Poisson row's support is {0..max(m, y)},
+    m being `_poisson_tops` at e^eta: it always holds y. Elsewhere this is
     `acceptance_set(model, eta, alpha)`'s membership."""
     etas = np.asarray(etas, dtype=float)
     poisson = model.family == "poisson"
@@ -524,19 +539,19 @@ def _grid_flags(model, y, etas, alpha):
         sizes = [len(support)] * len(etas)
     terms = _terms(model, support)
     col = support.index(y)
-    flags, prefix = [], 1
+    flags, prefix = np.empty(len(etas), bool), 1
     for start, stop in _blocks(sizes):
         members, _, prefix = _accepted(model, terms, etas[start:stop], alpha,
                                        sizes[start:stop] if poisson else None,
                                        prefix)
-        flags += members[:, col].tolist()
+        flags[start:stop] = members[:, col]
     return flags
 
 
 def theta_grid(model: NefModel, y, alpha, grid=None):
-    """(step, thetas): the theta points at which `confidence_region_nef`
-    tests membership of y at level alpha, and the step it reports as the
-    region's `grid`.
+    """(step, thetas): the theta points (an array, a row per multinomial
+    cell) at which `confidence_region_nef` tests membership of y at level
+    alpha, and the step it reports as the region's `grid`.
 
     Binomial: multiples of the theta step `grid` (default 1e-4) inside
     (0, 1). Poisson: log-theta steps of `grid` (default 1e-3) from
@@ -551,7 +566,7 @@ def theta_grid(model: NefModel, y, alpha, grid=None):
     integer), and step 1/denominator. An alpha outside (0, 1), or a `grid`
     that is not finite and positive, that leaves no grid point inside the
     family's range, or that gives more than 10^6 points raises DomainError
-    before any list is built.
+    before any array is built.
     """
     alpha = check_alpha(alpha)
     default = {"binom": 1e-4, "poisson": 1e-3, "multinom": 60}[model.family]
@@ -566,7 +581,7 @@ def theta_grid(model: NefModel, y, alpha, grid=None):
         if m < 2:
             raise DomainError("binom: grid step %r leaves no theta inside "
                               "(0, 1)" % (grid,))
-        return step, [i * step for i in range(1, m)]
+        return step, np.arange(1, m) * step
 
     if model.family == "poisson":
         # in logs, so that a tiny a(1-p) or alpha cannot underflow to 0
@@ -579,13 +594,13 @@ def theta_grid(model: NefModel, y, alpha, grid=None):
         if npts < 3:
             raise DomainError("poisson: log-theta grid step %r leaves no "
                               "theta inside the search window" % (grid,))
-        while _grid_flags(model, y, [model.eta_of_theta(
-                math.exp(lo + (npts - 1) * step))], alpha)[0]:
+        while _grid_flags(model, y, model._etas(
+                [math.exp(lo + (npts - 1) * step)]), alpha)[0]:
             hi += math.log(2.0)
             if not (hi - lo) / step <= MAX_GRID_POINTS - 1:
                 break
             npts = int(math.ceil((hi - lo) / step)) + 1
-        return step, [math.exp(lo + i * step) for i in range(npts)]
+        return step, _map(math.exp, lo + np.arange(npts) * step)
 
     denom = int(step)
     if denom < model.k:
@@ -593,8 +608,7 @@ def theta_grid(model: NefModel, y, alpha, grid=None):
                           "be >= k=%d, got %r" % (model.k, grid))
     if math.comb(denom - 1, model.k - 1) > MAX_GRID_POINTS:
         raise too_many
-    return 1.0 / denom, [tuple(c / denom for c in cell)
-                         for cell in _compositions(denom, model.k, 1)]
+    return 1.0 / denom, _compositions(denom, model.k, 1) / denom
 
 
 def confidence_region_nef(model: NefModel, y, alpha, grid=None):
@@ -619,19 +633,16 @@ def confidence_region_nef(model: NefModel, y, alpha, grid=None):
     y = model.observation(y)
     step, thetas = theta_grid(model, y, alpha, grid)
     eta_hat, theta_hat = model.fab_estimator(y)
-    # _BLOCK thetas at a time, so that no list of floats spans the grid
-    etas = np.concatenate([model._etas(thetas[i:i + _BLOCK])
-                           for i in range(0, len(thetas), _BLOCK)])
-    flags = _grid_flags(model, y, etas, alpha)
-    member = _grid_flags(model, y, [eta_hat], alpha)[0]
+    flags = _grid_flags(model, y, model._etas(thetas), alpha)
+    member = bool(_grid_flags(model, y, [eta_hat], alpha)[0])
 
     if model.family == "multinom":
-        members = [t for t, m in zip(thetas, flags) if m]
+        cells = tuple(map(tuple, thetas[flags].tolist()))
         return NefRegion(family_spec=model.spec_string(), y=y, alpha=alpha,
                          estimator=theta_hat, estimator_member=member,
-                         cells=tuple(members), grid=step)
+                         cells=cells, grid=step)
 
-    comps = [(thetas[i], thetas[j]) for i, j in _runs(flags)]
+    comps = [tuple(thetas[[i, j]].tolist()) for i, j in _runs(flags)]
     if model.family == "poisson" and (flags[0] or flags[-1]):
         if flags[-1] or y != 0:
             raise NumericalError("poisson theta grid does not cover the "

@@ -173,12 +173,14 @@ def _rep_task(args):
 
 def run_experiment(config: ExperimentConfig, threads=1):
     """Run all replications; deterministic given config regardless of the
-    number of worker processes `threads`."""
+    number of worker processes `threads`, an int >= 1 (DomainError
+    otherwise). No more workers start than there are replications."""
     tasks = [(config, gi, r)
              for gi in range(len(config.log_sigma_beta_grid))
              for r in range(config.reps)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(check_count("threads", threads), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_rep_task, tasks, chunksize=1))
     else:
         done = map(_rep_task, tasks)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fabcr import nef
 from fabcr.cli import main
 
 Z90 = 1.6448536269514722
@@ -178,6 +179,22 @@ def test_nef_csv_format(runner):
     assert len(lines) == 100  # 99 interior grid points + header
     members = [l for l in lines[1:] if l.endswith(",1")]
     assert members
+
+
+def test_nef_multinom_csv_lists_the_region_cells(runner):
+    spec, y = "multinom:n=4,a1=1,a2=0.5,a3=2", "1,1,2"
+    res = runner.invoke(main, ["nef", "--family", spec, "--y", y,
+                               "--alpha", "0.1", "--grid", "12",
+                               "--format", "csv"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    assert lines[0] == "theta1,theta2,theta3,member"
+    cells = [tuple(float(v) for v in line.split(",")[:3])
+             for line in lines[1:]]
+    assert all(line.endswith(",1") for line in lines[1:])
+    reg = nef.confidence_region_nef(nef.parse_family(spec), (1, 1, 2), 0.1,
+                                    grid=12)
+    assert cells == list(reg.cells) != []
 
 
 def test_nef_usage_errors(runner):
@@ -428,6 +445,18 @@ def test_simulate_cli(runner, tmp_path):
     lines = res.output.strip().splitlines()
     assert lines[0].startswith("prior,log_sigma_beta")
     assert len(lines) == 2
+
+
+def test_simulate_refuses_bad_threads(runner, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "n = 5\np = 2\nsigma_y2 = 1\nlog_sigma_beta = 0\n"
+        "priors = flat\nalpha = 0.1\nreps = 1\nseed = 5\n")
+    for threads in ("0", "-3"):
+        res = runner.invoke(main, ["simulate", "--config", str(cfg),
+                                   "--threads", threads])
+        assert res.exit_code == 2, res.output
+        assert "threads must be an integer >= 1" in res.output
 
 
 def test_simulate_bad_config(runner, tmp_path):

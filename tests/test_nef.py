@@ -294,18 +294,30 @@ def test_acceptance_alpha_extremes():
 
 
 def test_poisson_truncation_invariance():
-    base = parse_family("poisson:a=1,p=0.5")
-
     class WideSupport(NefModel):
         def support(self, eta=None):
             return list(range(2 * len(NefModel.support(self, eta=eta))))
 
-    wide = WideSupport(family="poisson", a=(1.0,), p=0.5)
-    for theta in (0.5, 3.0, 9.0):
+    # at theta = 230 the members run from 211 past the support's top 442
+    # to 462: the top is doubled while it is a member
+    for spec, theta in [("poisson:a=1,p=0.5", 0.5), ("poisson:a=1,p=0.5", 3.0),
+                        ("poisson:a=1,p=0.5", 9.0),
+                        ("poisson:a=0.5,p=0.3", 230.0)]:
+        base = parse_family(spec)
+        wide = WideSupport(family="poisson", a=base.a, p=base.p)
         eta = math.log(theta)
         a1 = acceptance_set(base, eta, 0.1)
         a2 = acceptance_set(wide, eta, 0.1)
         assert a1.members == a2.members, theta
+        assert a1.attained_coverage == a2.attained_coverage, theta
+    assert a1.members == tuple(range(211, 463))
+    # the region's check at eta-hat and the public set agree on y = 100,
+    # past the top m = 79 at eta-hat
+    m = parse_family("poisson:a=0.5,p=0.9")
+    eta_hat, _ = m.fab_estimator(100)
+    assert m.support(eta=eta_hat)[-1] == 79
+    assert confidence_region_nef(m, 100, 0.1).estimator_member
+    assert 100 in acceptance_set(m, eta_hat, 0.1).members
 
 
 def test_poisson_support_at_large_theta():
@@ -319,13 +331,32 @@ def test_poisson_support_at_large_theta():
         assert stats.poisson(theta).sf(support[-1]) < 1e-12, theta
 
 
-def test_poisson_support_cap():
-    # a count above about 1.7e6 asks for theta up to 60 (y + 1); a support
-    # past 1e8 points is refused before it is built
+def test_poisson_support_cap(monkeypatch):
+    # a count above about 1.66e5 asks for theta up to 60 (y + 1); a support
+    # past 1e7 points (about 100 bytes each) is refused before it is built
     m = parse_family("poisson:a=1,p=0.5")
     with pytest.raises(NumericalError) as info:
-        m.support(eta=math.log(60.0 * (2e6 + 1)))
-    assert info.value.diagnostics["support_max"] > 10 ** 8
+        m._poisson_top(math.log(60.0 * (2e5 + 1)))
+    assert 10 ** 7 < info.value.diagnostics["support_max"] < 10 ** 8
+    # and so is a top doubled past it: at theta = 50 the members of this
+    # prior run from 41 to 1206, and the cap is lowered to 1000
+    monkeypatch.setattr(nef, "_SUPPORT_MAX", 1000)
+    with pytest.raises(NumericalError, match="runaway") as info:
+        acceptance_set(parse_family("poisson:a=0.5,p=0.9"), math.log(50.0),
+                       0.1)
+    assert info.value.diagnostics["support_max"] > 1000
+
+
+def test_poisson_count_past_the_cap_is_refused_before_any_term(monkeypatch):
+    # y = 10^6 asks for theta up to 6e7: a 6e7-point support, which would
+    # take gigabytes, is refused before lambda(y) is computed for any point
+    def tripwire(*args):
+        raise AssertionError("support terms computed")
+
+    monkeypatch.setattr(nef, "_terms", tripwire)
+    with pytest.raises(NumericalError, match="runaway"):
+        confidence_region_nef(parse_family("poisson:a=1,p=0.5"), 10 ** 6,
+                              0.1)
 
 
 # -- regions ----------------------------------------------------------------
@@ -412,7 +443,7 @@ def _assert_poisson_ends_match_oracle(m, y, alpha, reg):
     """The oracle accepts y at each end's grid point and rejects it at the
     grid point just outside; a region from 0 is y = 0's and holds theta
     below the window's first point."""
-    thetas = theta_grid(m, y, alpha, reg.grid)[1]
+    thetas = theta_grid(m, y, alpha, reg.grid)[1].tolist()
     for lo, hi in reg.intervals:
         if lo == 0.0:
             assert y == 0
@@ -570,7 +601,7 @@ def test_theta_grid_holds_at_most_a_million_points():
 def test_theta_grid_is_the_region_grid():
     m = parse_family("binom:n=8,a=1,b=1")
     step, thetas = theta_grid(m, 4, 0.1, 0.01)
-    assert step == 0.01 and len(thetas) == 99
+    assert step == 0.01 and thetas.shape == (99,) and thetas.dtype == float
     assert thetas[0] == 0.01 and thetas[-1] == 99 * 0.01
     assert theta_grid(m, 4, 0.1)[0] == 1e-4
     reg = confidence_region_nef(m, 4, 0.1, grid=0.01)
@@ -589,10 +620,12 @@ def test_theta_grid_is_the_region_grid():
     mm = parse_family("multinom:n=3,a1=1,a2=1,a3=1")
     step, cells = theta_grid(mm, (1, 1, 1), 0.1, 4)
     assert step == 0.25
-    assert sorted(cells) == [(0.25, 0.25, 0.5), (0.25, 0.5, 0.25),
-                             (0.5, 0.25, 0.25)]
+    # one float array for every family, the simplex in lexicographic order
+    assert cells.dtype == thetas.dtype == float
+    assert cells.tolist() == [[0.25, 0.25, 0.5], [0.25, 0.5, 0.25],
+                              [0.5, 0.25, 0.25]]
     assert set(confidence_region_nef(mm, (1, 1, 1), 0.1, grid=4).cells) \
-        <= set(cells)
+        <= set(map(tuple, cells.tolist()))
 
 
 def test_observation_canonical_form():
@@ -713,10 +746,12 @@ def _scalar_log_pmf(m, eta, y):
     return out
 
 
-def _scalar_acceptance(m, eta, alpha):
-    """(members, summed mass): the support sorted by (lambda_eta, y), taken
-    until the mass reaches 1 - alpha, with the points tied to the cutoff."""
-    support = m.support(eta=eta if m.family == "poisson" else None)
+def _scalar_acceptance(m, eta, alpha, support=None):
+    """(members, summed mass): the support (the model's when None) sorted by
+    (lambda_eta, y), taken until the mass reaches 1 - alpha, with the points
+    tied to the cutoff."""
+    if support is None:
+        support = m.support(eta=eta if m.family == "poisson" else None)
     acc, cutoff, members = 0.0, None, []
     for lv, y in sorted((_scalar_lam_eta(m, eta, y), y) for y in support):
         if cutoff is not None and lv > cutoff:
@@ -726,6 +761,17 @@ def _scalar_acceptance(m, eta, alpha):
         if cutoff is None and acc >= 1.0 - alpha:
             cutoff = lv + 1e-12 * max(1.0, abs(lv))
     return sorted(members), acc
+
+
+def _scalar_set(m, eta, alpha):
+    """`_scalar_acceptance` as `acceptance_set` answers it: a Poisson
+    support's top is doubled while it is a member."""
+    support = m.support(eta=eta if m.family == "poisson" else None)
+    members, acc = _scalar_acceptance(m, eta, alpha, support)
+    while m.family == "poisson" and members[-1] == support[-1]:
+        support = range(2 * support[-1] + 1)
+        members, acc = _scalar_acceptance(m, eta, alpha, support)
+    return members, acc
 
 
 _ORACLE_SHAPE = st.sampled_from((0.3, 0.5, 1.0, 2.0, 3.5))
@@ -755,12 +801,13 @@ def test_batched_grid_flags_equal_the_scalar_loop(observed, alpha):
     _, thetas = theta_grid(m, y, alpha, grid)
     etas = [m.eta_of_theta(t) for t in thetas]
     scalar = [_scalar_acceptance(m, eta, alpha) for eta in etas]
-    assert _grid_flags(m, y, etas, alpha) == [y in s[0] for s in scalar]
-    for theta, (members, acc) in zip(thetas[::7], scalar[::7]):
+    assert _grid_flags(m, y, etas, alpha).tolist() \
+        == [y in s[0] for s in scalar]
+    for theta in thetas[::7]:
         eta = m.eta_of_theta(theta)
         got = acceptance_set(m, eta, alpha)
-        assert list(got.members) == members
-        assert got.attained_coverage == acc
+        assert (list(got.members), got.attained_coverage) \
+            == _scalar_set(m, eta, alpha)
         support = m.support(eta=eta)
         lv, lp = nef._rows(m, nef._terms(m, support), [eta])
         assert lv[0].tolist() == [_scalar_lam_eta(m, eta, v) for v in support]
@@ -866,9 +913,10 @@ def _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha):
                 for row in members.tolist()] == [s[0] for s in scalar]
         assert coverage.tolist() == [s[1] for s in scalar]
         assert members.sum(axis=1).max() <= used <= len(support)
-    for eta, (members, acc) in zip(etas, scalar):
+    for eta in etas:
         got = acceptance_set(m, eta, alpha)
-        assert (list(got.members), got.attained_coverage) == (members, acc)
+        assert (list(got.members), got.attained_coverage) \
+            == _scalar_set(m, eta, alpha)
 
 
 @pytest.mark.parametrize("alpha", (0.01, 0.1, 0.5))
@@ -879,7 +927,7 @@ def test_prefix_grows_to_the_top_of_the_poisson_grid(alpha):
     m = parse_family("poisson:a=1,p=0.5")
     etas = [m.eta_of_theta(t) for t in theta_grid(m, 20, alpha)[1][-3:]]
     _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha)
-    assert _grid_flags(m, 20, etas, alpha) == [
+    assert _grid_flags(m, 20, etas, alpha).tolist() == [
         20 in _scalar_acceptance(m, eta, alpha)[0] for eta in etas]
 
 

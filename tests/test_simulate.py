@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fabcr import simulate
 from fabcr.errors import DomainError, SpecParseError
 from fabcr.simulate import (ExperimentConfig, gen_design, run_experiment)
 
@@ -113,6 +114,44 @@ def test_run_experiment_threads_match_serial():
     serial = run_experiment(cfg, threads=1)
     parallel = run_experiment(cfg, threads=2)
     assert serial.cells == parallel.cells
+
+
+def _recording_pool(started):
+    """A stand-in for ProcessPoolExecutor that records its max_workers and
+    runs the tasks in this process, so that no worker is ever started."""
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+    return Pool
+
+
+def test_run_experiment_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor",
+                        _recording_pool(started))
+    cfg = _config(reps=2, priors=("flat",), log_sigma_beta_grid=(0.0,))
+    assert run_experiment(cfg, threads=8).cells == run_experiment(cfg).cells
+    assert started == [2]
+
+
+@pytest.mark.parametrize("threads", [0, -1, 1.5, "2", None])
+def test_run_experiment_refuses_bad_threads(monkeypatch, threads):
+    started = []
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor",
+                        _recording_pool(started))
+    with pytest.raises(DomainError, match="threads"):
+        run_experiment(_config(reps=1, priors=("flat",),
+                               log_sigma_beta_grid=(0.0,)), threads=threads)
+    assert started == []
 
 
 def test_write_csv(tmp_path):
