@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from fabcr import _core
 from fabcr.errors import (MAX_GRID_POINTS, DomainError, NumericalError,
                           RegionBoundError, check_alpha, check_finite,
@@ -164,17 +166,12 @@ def _bisect(inside_at, inside, outside, tol):
 
 
 def _runs(flags):
-    """(first, last) index of each run of true values in `flags`."""
-    runs, start = [], None
-    for i, flag in enumerate(flags):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(flags) - 1))
-    return runs
+    """(first, last) index of each run of true values in `flags`: the
+    changes of the flags padded by False at both ends alternate between a
+    run's first index and the index past its last."""
+    padded = np.concatenate(([False], np.asarray(flags, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def _solve(model: PriorModel, theta0, alpha, y=None):

@@ -42,7 +42,12 @@ _TIE_REL = 1e-12
 # the largest eta whose e^eta is a float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # matrix elements (grid rows x support points) evaluated at once
-_BLOCK = 4096
+_BLOCK = 16384
+# elements `_map` lists at once
+_CHUNK = 4096
+# the most ulps np.exp may differ from math.exp by for `_accepted` to give
+# math.exp's decisions (tests/test_nef.py checks it on the CPU it runs on)
+_EXP_ULPS = 8
 # the most points a Poisson support may have: a region's terms and rows take
 # about 100 bytes per point
 _SUPPORT_MAX = 10 ** 7
@@ -62,10 +67,15 @@ def _compositions(total, k, least):
 
 
 def _map(fn, x):
-    """The `math` function fn at each element of the array x: numpy's
+    """The `math` function fn at each element of the array x, _CHUNK
+    elements at a time (so no list of the whole argument is built): numpy's
     transcendentals are not correctly rounded and may differ by CPU."""
-    return np.fromiter(map(fn, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    flat = x.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _CHUNK):
+        out[i:i + _CHUNK] = np.fromiter(map(fn, flat[i:i + _CHUNK].tolist()),
+                                        float)
+    return out.reshape(x.shape)
 
 
 def _row_sum(x):
@@ -359,21 +369,21 @@ def _rows(model, terms, etas):
     return (lam - ey) + psi, lp
 
 
-def _accepted(model, terms, etas, alpha, sizes=None, prefix=None):
-    """(members, coverage, prefix) of the acceptance sets at each natural
-    parameter in `etas`: a (rows x support) boolean matrix, each set's
-    summed null mass, and the prefix width used. Each row is sorted stably
-    by lambda_eta (the support is in ascending order, so ties fall in the
-    order of y), its masses are exponentiated with `math.exp` and summed in
-    that order, and a point is a member unless some prefix reaches 1 - alpha
-    and its lambda_eta lies past the tie cutoff of the first such prefix.
-    Only the first `prefix` ranked masses (all of them when None) are
-    exponentiated: prefix is doubled until every row's sum reaches
-    1 - alpha and every member lies within it (or it spans the row). A
-    prefix of a sequential cumsum is the same floats as the full one, so
-    the result does not depend on the `prefix` passed in. `sizes` limits
-    each row to its first sizes[r] points (the Poisson support grows with
-    theta)."""
+def _accepted(model, terms, etas, alpha, sizes=None):
+    """(members, ranked) of the acceptance sets at each natural parameter
+    in `etas`: a (rows x support) boolean matrix and each row's log null
+    masses in rank order. Each row is sorted stably by lambda_eta (the
+    support is in ascending order, so ties fall in the order of y), its
+    masses are exponentiated and summed in that order, and a point is a
+    member unless some prefix sum reaches 1 - alpha and its lambda_eta lies
+    past the tie cutoff of the first such prefix. The masses go through one
+    np.exp. They sum to about 1 at most, so if np.exp is within _EXP_ULPS
+    of math.exp, each prefix sum over K ranks is within
+    (_EXP_ULPS + 2 K) 2^-52 of the `math.exp` one, and a row whose sums all
+    stay that far from 1 - alpha reaches it at the same rank; the other
+    rows are summed again from `math.exp`. So the members are those of
+    `math.exp` sums on any CPU. `sizes` limits each row to its first
+    sizes[r] points (the Poisson support grows with theta)."""
     if sizes is not None:
         terms = tuple(t[:max(sizes)] for t in terms)
     lv, lp = _rows(model, terms, etas)
@@ -382,30 +392,36 @@ def _accepted(model, terms, etas, alpha, sizes=None, prefix=None):
         lv[beyond], lp[beyond] = math.inf, -math.inf
     order = np.argsort(lv, axis=1, kind="stable")
     rows = np.arange(len(lv))
-    prefix = lv.shape[1] if prefix is None else prefix
-    while True:
-        prefix = min(prefix, lv.shape[1])
-        ranked = order[:, :prefix]
-        mass = np.cumsum(_map(math.exp, lp[rows[:, None], ranked]), axis=1)
-        reached = mass >= 1.0 - alpha
-        level = lv[rows, ranked[rows, reached.argmax(axis=1)]]
-        cutoff = np.where(reached.any(axis=1),
-                          level + _TIE_REL * np.maximum(1.0, np.abs(level)),
-                          math.inf)
-        members = lv <= cutoff[:, None]
-        count = members.sum(axis=1)
-        # a row whose prefix falls short of 1 - alpha has every point a
-        # member, so it too asks for a wider prefix
-        if (count <= prefix).all() or prefix == lv.shape[1]:
-            break
-        prefix *= 2
-    coverage = mass[rows, count - 1]
+    ranked = np.take(lp, order + lv.shape[1] * rows[:, None])
+    mass = np.cumsum(np.exp(ranked), axis=1)
+    target = 1.0 - alpha
+    tol = (_EXP_ULPS + 2 * lv.shape[1]) * 2.0 ** -52
+    # the sums do not decrease, so a row's first sum past target - tol is
+    # the only one that may lie within tol of the target
+    near = mass >= target - tol
+    first = near.argmax(axis=1)
+    reached = near[rows, first]
+    redo = np.flatnonzero(reached & (mass[rows, first] <= target + tol))
+    if redo.size:
+        reach = np.cumsum(_map(math.exp, ranked[redo]), axis=1) >= target
+        first[redo], reached[redo] = reach.argmax(axis=1), reach.any(axis=1)
+    level = lv[rows, order[rows, first]]
+    cutoff = np.where(reached,
+                      level + _TIE_REL * np.maximum(1.0, np.abs(level)),
+                      math.inf)
+    members = lv <= cutoff[:, None]
     if model.family == "poisson" and not np.isfinite(cutoff).all():
         r = int(np.argmax(cutoff))
         raise NumericalError("poisson truncation insufficient",
                              eta=float(np.asarray(etas)[r]),
-                             mass=float(coverage[r]))
-    return members, coverage, prefix
+                             mass=_coverage(ranked[r], members[r].sum()))
+    return members, ranked
+
+
+def _coverage(ranked, count):
+    """The null mass of the first `count` of a row's ranked log-masses,
+    exponentiated with `math.exp` and summed in rank order."""
+    return float(np.cumsum(_map(math.exp, ranked[:count]))[-1])
 
 
 def _check_eta(model, eta):
@@ -456,8 +472,8 @@ def acceptance_set(model: NefModel, eta, alpha):
     eta = _check_eta(model, eta)
     support = model.support(eta=eta if model.family == "poisson" else None)
     while True:
-        members, coverage, _ = _accepted(model, _terms(model, support),
-                                         [eta], alpha)
+        members, ranked = _accepted(model, _terms(model, support), [eta],
+                                    alpha)
         if model.family != "poisson" or not members[0, -1]:
             break
         top = 2 * support[-1]
@@ -468,7 +484,7 @@ def acceptance_set(model: NefModel, eta, alpha):
     return DiscreteAcceptanceSet(
         eta=eta, alpha=alpha,
         members=tuple(y for y, m in zip(support, members[0]) if m),
-        attained_coverage=float(coverage[0]))
+        attained_coverage=_coverage(ranked[0], members[0].sum()))
 
 
 @dataclass(frozen=True)
@@ -525,9 +541,8 @@ def _blocks(sizes):
 def _grid_flags(model, y, etas, alpha):
     """Whether y is in the acceptance set at each natural parameter of
     `etas` (in ascending order), as a bool array, block by block over terms
-    computed once, each block's exponentials starting from the prefix width
-    the block before it needed. A Poisson row's support is {0..max(m, y)},
-    m being `_poisson_tops` at e^eta: it always holds y. Elsewhere this is
+    computed once. A Poisson row's support is {0..max(m, y)}, m being
+    `_poisson_tops` at e^eta: it always holds y. Elsewhere this is
     `acceptance_set(model, eta, alpha)`'s membership."""
     etas = np.asarray(etas, dtype=float)
     poisson = model.family == "poisson"
@@ -539,11 +554,10 @@ def _grid_flags(model, y, etas, alpha):
         sizes = [len(support)] * len(etas)
     terms = _terms(model, support)
     col = support.index(y)
-    flags, prefix = np.empty(len(etas), bool), 1
+    flags = np.empty(len(etas), bool)
     for start, stop in _blocks(sizes):
-        members, _, prefix = _accepted(model, terms, etas[start:stop], alpha,
-                                       sizes[start:stop] if poisson else None,
-                                       prefix)
+        members, _ = _accepted(model, terms, etas[start:stop], alpha,
+                               sizes[start:stop] if poisson else None)
         flags[start:stop] = members[:, col]
     return flags
 

@@ -6,6 +6,7 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from fabcr import _core
 from fabcr._core import _kernels_py
 from fabcr.errors import DomainError, NumericalError
 from fabcr.gaussian import (_ENDPOINT_TOL, AcceptanceInterval,
-                            ConfidenceRegion, _bisect, _march,
+                            ConfidenceRegion, _bisect, _march, _runs,
                             _np_interval, _solve, acceptance_interval,
                             confidence_region, focal_point, p_value_curve,
                             weight, z_interval)
@@ -360,6 +361,35 @@ def test_scan_mode_agrees_with_bracketing():
         scan = confidence_region(m, 4.0, 0.1, scan_step=0.02)
         assert abs(scan.lo - reg.lo) < 0.05
         assert abs(scan.hi - reg.hi) < 0.05
+
+
+def _runs_by_loop(flags):
+    """The runs of `_runs`, found by walking every flag."""
+    runs, start = [], None
+    for i, flag in enumerate(flags):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(flags) - 1))
+    return runs
+
+
+def test_runs_are_the_loop_runs():
+    rnd = random.Random(20261020)
+    cases = [[], [False], [True], [False] * 7, [True] * 7]
+    for _ in range(400):
+        n = rnd.choice((1, 2, 3, 10, 100, 1000))
+        share = rnd.random()
+        cases.append([rnd.random() < share for _ in range(n)])
+    for flags in cases:
+        want = _runs_by_loop(flags)
+        for given_as in (flags, np.array(flags, dtype=bool)):
+            got = _runs(given_as)
+            assert got == want
+            assert all(type(i) is int for run in got for i in run)
 
 
 def test_region_json_roundtrip():

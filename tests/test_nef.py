@@ -899,20 +899,18 @@ def test_batched_eta_psi_log_theta_and_tops_equal_the_scalar_forms(
 
 
 def _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha):
-    """The batched acceptance sets at `etas` are the scalar loop's, from a
-    prefix of 1, 3 or the full width, and from `acceptance_set`."""
+    """The batched acceptance sets at `etas` and their summed masses are the
+    scalar loop's, and so are `acceptance_set`'s."""
     support = sorted({y for eta in etas for y in m.support(eta=eta)})
     sizes = [len(m.support(eta=eta)) for eta in etas] \
         if m.family == "poisson" else None
     terms = nef._terms(m, support)
     scalar = [_scalar_acceptance(m, eta, alpha) for eta in etas]
-    for prefix in (1, 3, len(support)):
-        members, coverage, used = nef._accepted(m, terms, etas, alpha, sizes,
-                                                prefix)
-        assert [[y for y, keep in zip(support, row) if keep]
-                for row in members.tolist()] == [s[0] for s in scalar]
-        assert coverage.tolist() == [s[1] for s in scalar]
-        assert members.sum(axis=1).max() <= used <= len(support)
+    members, ranked = nef._accepted(m, terms, etas, alpha, sizes)
+    assert [[y for y, keep in zip(support, row) if keep]
+            for row in members.tolist()] == [s[0] for s in scalar]
+    assert [nef._coverage(r, count) for r, count in
+            zip(ranked, members.sum(axis=1))] == [s[1] for s in scalar]
     for eta in etas:
         got = acceptance_set(m, eta, alpha)
         assert (list(got.members), got.attained_coverage) \
@@ -922,8 +920,7 @@ def _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha):
 @pytest.mark.parametrize("alpha", (0.01, 0.1, 0.5))
 def test_prefix_grows_to_the_top_of_the_poisson_grid(alpha):
     # at the grid's top (theta near 1260) the support holds about 1,700
-    # points and the acceptance set about 500 of them, so the prefix
-    # doubles from 1 up to 512 or 1024
+    # points and the acceptance set about 500 of them
     m = parse_family("poisson:a=1,p=0.5")
     etas = [m.eta_of_theta(t) for t in theta_grid(m, 20, alpha)[1][-3:]]
     _assert_any_prefix_accepts_as_the_scalar_loop(m, etas, alpha)
@@ -956,6 +953,93 @@ def test_multinomial_mass_tie_keeps_its_float_decision():
     assert _grid_flags(m, y, [eta], 0.1) == [True]
     assert tuple(c / 60 for c in cell) in confidence_region_nef(
         m, y, 0.1).cells
+
+
+def test_np_exp_is_within_the_checked_ulps_of_math_exp():
+    # `_accepted` sums np.exp masses and gives math.exp's decisions only
+    # if the two differ by at most _EXP_ULPS; on a CPU whose numpy breaks
+    # that, this fails instead of the flags going wrong
+    rng = np.random.default_rng(20261020)
+    x = np.concatenate([rng.uniform(-745.0, 0.0, 10 ** 6),
+                        rng.uniform(-40.0, 0.0, 10 ** 6),
+                        rng.uniform(-760.0, -700.0, 10 ** 5)])
+    # the masses are nonnegative, so their bit patterns count ulps
+    ulps = np.abs(np.exp(x).view(np.int64)
+                  - nef._map(math.exp, x).view(np.int64))
+    assert ulps.max() <= nef._EXP_ULPS
+
+
+def test_poisson_sum_short_of_the_target_reports_its_math_exp_mass():
+    # at alpha = 1e-20 the target 1 - alpha rounds to 1.0, which the mass
+    # of {0..m} at theta = 1 falls one ulp short of
+    m = parse_family("poisson:a=1,p=0.5")
+    with pytest.raises(NumericalError, match="truncation insufficient") as exc:
+        acceptance_set(m, 0.0, 1e-20)
+    _, acc = _scalar_acceptance(m, 0.0, 1e-20)
+    assert exc.value.diagnostics == {"eta": 0.0, "mass": acc}
+    assert acc == 0.9999999999999999
+
+
+def _perturbed_exp_cases():
+    """(name, call) pairs whose outputs the check in `_accepted` keeps:
+    the multinomial mass tie, the Sterne ties, the top rows of the Poisson
+    y = 20 grid and a binomial n = 100 grid, as grid flags and regions."""
+    tie = parse_family("multinom:n=4,a1=1,a2=0.5,a3=1,a4=0.5")
+    tie_y = (0, 1, 2, 1)
+    sterne = parse_family("binom:n=30,a=1,b=1")
+    poisson = parse_family("poisson:a=1,p=0.5")
+    binom = parse_family("binom:n=100,a=2,b=0.5")
+    yield "tie grid", lambda: _grid_flags(
+        tie, tie_y, tie._etas(theta_grid(tie, tie_y, 0.1)[1]), 0.1).tolist()
+    yield "tie region", lambda: confidence_region_nef(tie, tie_y, 0.1)
+    for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+        yield "sterne %g" % alpha, lambda a=alpha: (
+            _grid_flags(sterne, 17, [0.0, 1e-3, -0.25], a).tolist(),
+            confidence_region_nef(sterne, 17, a))
+        yield "poisson top %g" % alpha, lambda a=alpha: _grid_flags(
+            poisson, 20, poisson._etas(theta_grid(poisson, 20, a)[1][-3:]),
+            a).tolist()
+    yield "poisson region", lambda: confidence_region_nef(poisson, 20, 0.1)
+    yield "binom n=100", lambda: (
+        _grid_flags(binom, 61, binom._etas(theta_grid(binom, 61, 0.05)[1]),
+                    0.05).tolist(),
+        confidence_region_nef(binom, 61, 0.05))
+
+
+def test_masses_off_by_the_checked_ulps_keep_every_decision(monkeypatch):
+    # np.exp replaced by math.exp moved _EXP_ULPS ulps up on every other
+    # row and down on the rest, each row taking both signs over the two
+    # phases: the rows the check recomputes with math.exp give back every
+    # flag and region, the multinomial tie row among them (its math.exp
+    # sum at rank 19 is 5 ulps below 9/10, and the upward move crosses it)
+    cases = list(_perturbed_exp_cases())
+    expected = [call() for _, call in cases]
+    exact_map = nef._map
+    tie = parse_family("multinom:n=4,a1=1,a2=0.5,a3=1,a4=0.5")
+    eta = tie.eta_of_theta((18 / 60, 12 / 60, 6 / 60, 24 / 60))
+    lv, lp = nef._rows(tie, nef._terms(tie, tie.support()), [eta])
+    tie_ranked = lp[0, np.argsort(lv[0], kind="stable")]
+    for phase in (0, 1):
+        recomputed = []
+
+        def spy_map(fn, x):
+            if fn is math.exp and x.ndim == 2:
+                recomputed.extend(x.tolist())
+            return exact_map(fn, x)
+
+        def perturbed_exp(x):
+            bits = exact_map(math.exp, x).view(np.int64)
+            up = np.arange(len(x)) % 2 == phase
+            step = np.where(up, nef._EXP_ULPS, -nef._EXP_ULPS)[:, None]
+            return np.maximum(bits + step, 0).view(np.float64)
+
+        monkeypatch.setattr(nef, "_map", spy_map)
+        monkeypatch.setattr(np, "exp", perturbed_exp)
+        got = [call() for _, call in cases]
+        monkeypatch.undo()
+        for (name, _), want, have in zip(cases, expected, got):
+            assert have == want, (name, phase)
+        assert tie_ranked.tolist() in recomputed
 
 
 def _blocks_row_by_row(sizes):
