@@ -19,12 +19,18 @@ def bench(label, fn, args, n):
 
 CASES = [
     ("norm_quantile(0.0123)", "norm_quantile", (0.0123,), 200000),
-    ("log_marginal horseshoe y=3", "log_marginal", (5, 0.0, 0.0, 1.0, 3.0), 100000),
-    ("log_marginal laplace y=3", "log_marginal", (3, 1.0, 0.0, 1.0, 3.0), 100000),
-    ("log_marginal bp(1,.5) y=3", "log_marginal", (2, 1.0, 0.5, 1.0, 3.0), 50000),
-    ("posterior_mean bp y=3", "posterior_mean", (2, 1.0, 0.5, 1.0, 3.0), 50000),
-    ("weight_solve horseshoe", "weight_solve", (5, 0.0, 0.0, 1.0, 7.7, 0.1), 3000),
-    ("weight_solve laplace", "weight_solve", (3, 1.0, 0.0, 1.0, -12.0, 0.05), 3000),
+    ("log_marginal horseshoe y=3", "log_marginal",
+     ("horseshoe", 0.0, 0.0, 1.0, 3.0), 100000),
+    ("log_marginal laplace y=3", "log_marginal",
+     ("laplace", 1.0, 0.0, 1.0, 3.0), 100000),
+    ("log_marginal bp(1,.5) y=3", "log_marginal",
+     ("bp", 1.0, 0.5, 1.0, 3.0), 50000),
+    ("posterior_mean bp y=3", "posterior_mean",
+     ("bp", 1.0, 0.5, 1.0, 3.0), 50000),
+    ("weight_solve horseshoe", "weight_solve",
+     ("horseshoe", 0.0, 0.0, 1.0, 7.7, 0.1), 3000),
+    ("weight_solve laplace", "weight_solve",
+     ("laplace", 1.0, 0.0, 1.0, -12.0, 0.05), 3000),
 ]
 
 

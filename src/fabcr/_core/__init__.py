@@ -5,14 +5,7 @@ these re-exported names (the benchmark's tracer wraps only the latter).
 """
 
 from ._kernels_py import (
-    KIND_BESSEL,
-    KIND_BETAPRIME,
-    KIND_FLAT,
-    KIND_FLAT_ATOM,
-    KIND_GAUSSIAN,
-    KIND_GPD,
-    KIND_HORSESHOE,
-    KIND_LAPLACE,
+    SHAPES,
     W_CUTOFF,
     bessel_i0e,
     bessel_i1e,

@@ -13,17 +13,10 @@ import functools
 import math
 
 # ---------------------------------------------------------------------------
-# prior kind codes (shared with fabcr.priors)
+# the named beta-prime kinds: BP(a, b) shapes (shared with fabcr.priors)
 # ---------------------------------------------------------------------------
 
-KIND_FLAT = 0
-KIND_GAUSSIAN = 1       # p1 = tau (free prior scale, not tied to sigma)
-KIND_BETAPRIME = 2      # p1 = a, p2 = b
-KIND_LAPLACE = 3        # p1 = kappa
-KIND_FLAT_ATOM = 4      # p1 = gamma
-KIND_HORSESHOE = 5      # BP(1/2, 1/2), Dawson closed-form marginal
-KIND_GPD = 6            # BP(1/2, 1), explicit exp form
-KIND_BESSEL = 7         # BP(1, 1/2), scaled Bessel form near 0
+SHAPES = {"horseshoe": (0.5, 0.5), "gpd": (0.5, 1.0), "bessel": (1.0, 0.5)}
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -286,7 +279,7 @@ def log_beta(a, b):
 
 
 # ---------------------------------------------------------------------------
-# log-marginal likelihoods of the prior catalog (prior located at 0)
+# log-marginal likelihoods of the prior catalog by kind name (prior at 0)
 # ---------------------------------------------------------------------------
 
 def _log_marginal_betaprime(a, b, sigma, y):
@@ -305,115 +298,113 @@ def _laplace_log_terms(kappa, sigma, y):
 
 
 def log_marginal(kind, p1, p2, sigma, y):
-    if kind == KIND_FLAT:
+    if kind == "flat":
         return 0.0
-    if kind == KIND_GAUSSIAN:
+    if kind == "gaussian":
         v = sigma * sigma + p1 * p1
         return -0.5 * math.log(2.0 * math.pi * v) - y * y / (2.0 * v)
-    if kind == KIND_BETAPRIME:
+    if kind == "bp":
         return _log_marginal_betaprime(p1, p2, sigma, y)
-    if kind == KIND_HORSESHOE:
+    if kind == "horseshoe":
         t = abs(y) / (_SQRT2 * sigma)
         if t < 0.05:
             # Dawson form is 0/0 at the origin; the general 1F1 form is smooth
-            return _log_marginal_betaprime(0.5, 0.5, sigma, y)
+            return _log_marginal_betaprime(*SHAPES[kind], sigma, y)
         return math.log(2.0 / math.pi ** 1.5) - math.log(abs(y)) + math.log(dawson(t))
-    if kind == KIND_GPD:
+    if kind == "gpd":
         s = y * y / (2.0 * sigma * sigma)
         if s == 0.0:
             ratio = 0.5
         else:
             ratio = -math.expm1(-s) / (2.0 * s)
         return -math.log(sigma) - _LOG_SQRT2PI + math.log(ratio)
-    if kind == KIND_BESSEL:
+    if kind == "bessel":
         w = y * y / (4.0 * sigma * sigma)
         if w > _BESSEL_SERIES_CUTOFF:
             # i0e - i1e cancels as w grows; the general 1F1 form does not
-            return _log_marginal_betaprime(1.0, 0.5, sigma, y)
+            return _log_marginal_betaprime(*SHAPES[kind], sigma, y)
         diff = bessel_i0e(w) - bessel_i1e(w)
         return (-_LOG_SQRT2PI - math.log(sigma)
                 + math.log(math.pi / 4.0) + math.log(diff))
-    if kind == KIND_LAPLACE:
+    if kind == "laplace":
         kappa = p1
         la, lb = _laplace_log_terms(kappa, sigma, y)
         m = la if la > lb else lb
         lse = m + math.log(math.exp(la - m) + math.exp(lb - m))
         return math.log(kappa / (2.0 * sigma)) + 0.5 * kappa * kappa + lse
-    if kind == KIND_FLAT_ATOM:
-        gamma = p1
-        lphi = -0.5 * (y / sigma) ** 2 - _LOG_SQRT2PI - math.log(sigma)
-        lg = math.log(gamma)
-        if lphi > lg:
-            return lphi + math.log1p(gamma * math.exp(-lphi))
-        return lg + math.log1p(math.exp(lphi - lg))
-    raise ValueError("unknown prior kind code %r" % (kind,))
+    # flat+atom
+    gamma = p1
+    lphi = -0.5 * (y / sigma) ** 2 - _LOG_SQRT2PI - math.log(sigma)
+    lg = math.log(gamma)
+    if lphi > lg:
+        return lphi + math.log1p(gamma * math.exp(-lphi))
+    return lg + math.log1p(math.exp(lphi - lg))
+
+
+def _dlog_betaprime(a, b, sigma, y):
+    z = -(y * y) / (2.0 * sigma * sigma)
+    lr = (log_kummer_1f1_neg(a + 1.5, a + b + 1.5, z)
+          - log_kummer_1f1_neg(a + 0.5, a + b + 0.5, z))
+    return -(y / (sigma * sigma)) * (a + 0.5) / (a + b + 0.5) * math.exp(lr)
 
 
 def dlog_marginal(kind, p1, p2, sigma, y):
     """d/dy of log_marginal, analytic per kind."""
-    if kind == KIND_FLAT:
+    if kind == "flat":
         return 0.0
-    if kind == KIND_GAUSSIAN:
+    if kind == "gaussian":
         return -y / (sigma * sigma + p1 * p1)
-    if kind == KIND_BETAPRIME or kind == KIND_HORSESHOE or kind == KIND_GPD \
-            or kind == KIND_BESSEL:
-        if kind == KIND_HORSESHOE:
-            # the Dawson form -1/y + (1 - 2tD(t))/(sqrt(2) sigma D(t)) cancels
-            # near 0 and as |y| grows; the general 1F1 form does not
-            a, b = 0.5, 0.5
-        elif kind == KIND_GPD:
-            s = y * y / (2.0 * sigma * sigma)
-            if s < 1e-5:
-                dds = -0.5 + s / 12.0 - s * s * s / 720.0
-            elif s > 40.0:
-                dds = -1.0 / s
-            else:
-                dds = 1.0 / math.expm1(s) - 1.0 / s
-            return (y / (sigma * sigma)) * dds
-        elif kind == KIND_BESSEL:
-            w = y * y / (4.0 * sigma * sigma)
-            if w <= _BESSEL_SERIES_CUTOFF:
-                if w < 1e-8:
-                    ratio = 0.5 * (1.0 + 0.5 * w)
-                else:
-                    ratio = bessel_i1e(w) / (w * (bessel_i0e(w) - bessel_i1e(w)))
-                return (y / (2.0 * sigma * sigma)) * (ratio - 2.0)
-            # i0e - i1e cancels as w grows; the general 1F1 form does not
-            a, b = 1.0, 0.5
+    if kind == "bp":
+        return _dlog_betaprime(p1, p2, sigma, y)
+    if kind == "horseshoe":
+        # the Dawson form -1/y + (1 - 2tD(t))/(sqrt(2) sigma D(t)) cancels
+        # near 0 and as |y| grows; the general 1F1 form does not
+        return _dlog_betaprime(*SHAPES[kind], sigma, y)
+    if kind == "gpd":
+        s = y * y / (2.0 * sigma * sigma)
+        if s < 1e-5:
+            dds = -0.5 + s / 12.0 - s * s * s / 720.0
+        elif s > 40.0:
+            dds = -1.0 / s
         else:
-            a, b = p1, p2
-        z = -(y * y) / (2.0 * sigma * sigma)
-        lr = (log_kummer_1f1_neg(a + 1.5, a + b + 1.5, z)
-              - log_kummer_1f1_neg(a + 0.5, a + b + 0.5, z))
-        return -(y / (sigma * sigma)) * (a + 0.5) / (a + b + 0.5) * math.exp(lr)
-    if kind == KIND_LAPLACE:
+            dds = 1.0 / math.expm1(s) - 1.0 / s
+        return (y / (sigma * sigma)) * dds
+    if kind == "bessel":
+        w = y * y / (4.0 * sigma * sigma)
+        if w > _BESSEL_SERIES_CUTOFF:
+            # i0e - i1e cancels as w grows; the general 1F1 form does not
+            return _dlog_betaprime(*SHAPES[kind], sigma, y)
+        if w < 1e-8:
+            ratio = 0.5 * (1.0 + 0.5 * w)
+        else:
+            ratio = bessel_i1e(w) / (w * (bessel_i0e(w) - bessel_i1e(w)))
+        return (y / (2.0 * sigma * sigma)) * (ratio - 2.0)
+    if kind == "laplace":
         kappa = p1
         la, lb = _laplace_log_terms(kappa, sigma, y)
         return (kappa / sigma) * math.tanh(0.5 * (lb - la))
-    if kind == KIND_FLAT_ATOM:
-        gamma = p1
-        lphi = -0.5 * (y / sigma) ** 2 - _LOG_SQRT2PI - math.log(sigma)
-        lf = log_marginal(kind, p1, p2, sigma, y)
-        return -(y / (sigma * sigma)) * math.exp(lphi - lf)
-    raise ValueError("unknown prior kind code %r" % (kind,))
+    # flat+atom
+    lphi = -0.5 * (y / sigma) ** 2 - _LOG_SQRT2PI - math.log(sigma)
+    lf = log_marginal(kind, p1, p2, sigma, y)
+    return -(y / (sigma * sigma)) * math.exp(lphi - lf)
 
 
 def posterior_mean(kind, p1, p2, sigma, y):
     """Tweedie posterior mean y + sigma^2 * l'(y); beta-prime kinds and
     Laplace go through their closed forms (algebraically the same thing,
     grouped to avoid cancellation at large |y|)."""
-    if kind == KIND_FLAT:
+    if kind == "flat":
         return y
-    if kind == KIND_GAUSSIAN:
+    if kind == "gaussian":
         v = p1 * p1
         return y * v / (sigma * sigma + v)
-    if kind == KIND_BETAPRIME:
+    if kind == "bp":
         z = -(y * y) / (2.0 * sigma * sigma)
         a, b = p1, p2
         lr = (log_kummer_1f1_neg(a + 1.5, a + b + 1.5, z)
               - log_kummer_1f1_neg(a + 0.5, a + b + 0.5, z))
         return y * (1.0 - (a + 0.5) / (a + b + 0.5) * math.exp(lr))
-    if kind == KIND_LAPLACE:
+    if kind == "laplace":
         kappa = p1
         la, lb = _laplace_log_terms(kappa, sigma, y)
         # xi = B/(A+B); theta = y + sigma*kappa*(2 xi - 1)

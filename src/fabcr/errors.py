@@ -28,13 +28,19 @@ def _float(value):
         return math.inf if value > 0 else -math.inf
 
 
+# the smallest alpha: from about 1e-308 the tail weights the solves start
+# from (alpha * 1e-16 and alpha * 1e-15) underflow to 0, which has no normal
+# quantile
+ALPHA_MIN = 1e-300
+
+
 def check_alpha(alpha, closed_top=False):
-    """alpha as a float in (0, 1), or in (0, 1] with `closed_top`; any other
-    value raises DomainError."""
+    """alpha as a float in [ALPHA_MIN, 1), or in [ALPHA_MIN, 1] with
+    `closed_top`; any other value raises DomainError."""
     alpha = _float(alpha)
-    if not (0.0 < alpha < 1.0 or (closed_top and alpha == 1.0)):
-        raise DomainError("alpha must be in (0,%s, got %r"
-                          % ("1]" if closed_top else "1)", alpha))
+    if not (ALPHA_MIN <= alpha < 1.0 or (closed_top and alpha == 1.0)):
+        raise DomainError("alpha must be in [%r, 1%s, got %r"
+                          % (ALPHA_MIN, "]" if closed_top else ")", alpha))
     return alpha
 
 
@@ -65,10 +71,11 @@ def check_positive(name, value):
     return value
 
 
-def check_count(name, value):
-    """value as an int >= 1; anything else raises DomainError."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
-        raise DomainError("%s must be an integer >= 1, got %r" % (name, value))
+def check_count(name, value, least=1):
+    """value as an int >= least; anything else raises DomainError."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise DomainError("%s must be an integer >= %d, got %r"
+                          % (name, least, value))
     return int(value)
 
 

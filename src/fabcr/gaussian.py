@@ -181,11 +181,11 @@ def _solve(model: PriorModel, theta0, alpha, y=None):
     whether lo <= y <= hi, and then returns bounds that give the same answer
     as the solved ones; its margin covers the rounding of the shift by loc
     and the last-ulp wobble of the quantiles."""
-    code, p1, p2, s = model._kernel_args
+    kind, p1, p2, s = model._kernel_args
     loc = model.loc
     settle = () if y is None else (y - loc, 1e-10 * s + 4.0 * math.ulp(
         abs(y) + abs(loc) + abs(theta0) + s))
-    w, lo, hi = _core.weight_solve(code, p1, p2, s, theta0 - loc, alpha,
+    w, lo, hi = _core.weight_solve(kind, p1, p2, s, theta0 - loc, alpha,
                                    *settle)
     if w <= _core.W_CUTOFF or w >= 1.0 - _core.W_CUTOFF:
         # the solver resolves w only to ~1e-13 absolute, so this close to the
@@ -323,7 +323,7 @@ def _membership(model, theta0, alpha, y, slack=0.0):
     fully solved bounds."""
     solved = _solve(model, theta0, alpha, None if slack else y)
     if solved is None:
-        return _p_value(model, theta0, y) >= alpha - 1e-12
+        return _p_value(model, theta0, y) >= alpha
     _, lo, hi = solved
     return lo - slack <= y <= hi + slack
 

@@ -28,7 +28,6 @@ structure in sigma.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -39,26 +38,28 @@ from fabcr.errors import (DomainError, SpecParseError, check_finite,
 
 _LOG_SQRTPI = 0.5 * math.log(math.pi)
 
-# per kind: the kernel code, the parameters it takes besides sigma and loc
-# (all required but gaussian's tau, which ties the prior scale to sigma when
-# left out) and, for the named beta-prime cases, their shapes (a, b)
-_Kind = namedtuple("_Kind", "code params shapes")
+# per kind, the parameters it takes besides sigma and loc (all required but
+# gaussian's tau, which ties the prior scale to sigma when left out)
 _KINDS = {
-    "flat": _Kind(_core.KIND_FLAT, (), None),
-    "flat+atom": _Kind(_core.KIND_FLAT_ATOM, ("gamma",), None),
-    "gaussian": _Kind(_core.KIND_GAUSSIAN, ("tau",), None),
-    "bp": _Kind(_core.KIND_BETAPRIME, ("a", "b"), None),
-    "horseshoe": _Kind(_core.KIND_HORSESHOE, (), (0.5, 0.5)),
-    "gpd": _Kind(_core.KIND_GPD, (), (0.5, 1.0)),
-    "bessel": _Kind(_core.KIND_BESSEL, (), (1.0, 0.5)),
-    "laplace": _Kind(_core.KIND_LAPLACE, ("kappa",), None),
+    "flat": (),
+    "flat+atom": ("gamma",),
+    "gaussian": ("tau",),
+    "bp": ("a", "b"),
+    "horseshoe": (),
+    "gpd": (),
+    "bessel": (),
+    "laplace": ("kappa",),
 }
 KINDS = tuple(_KINDS)
-_PARAM_NAMES = sorted({n for kind in _KINDS.values() for n in kind.params})
+# the largest Laplace kappa the kernels take: against 60-digit mpmath at y
+# from 0.25 sigma to 5 kappa sigma, the posterior mean's relative error is
+# 3.5e-12 at kappa = 10, 3.7e-10 at 30 and 5.4e-9 at 40
+KAPPA_MAX = 30.0
+_PARAM_NAMES = sorted({n for names in _KINDS.values() for n in names})
 
 
 def _refuse_extra(kind, names):
-    extra = set(names) - set(_KINDS[kind].params)
+    extra = set(names) - set(_KINDS[kind])
     if extra:
         raise SpecParseError("unexpected parameter(s) %s for prior kind %r"
                              % (", ".join(sorted(extra)), kind))
@@ -91,7 +92,7 @@ class PriorModel:
         check_finite("loc", self.loc)
         _refuse_extra(self.kind, [n for n in _PARAM_NAMES
                                   if getattr(self, n) is not None])
-        names = _KINDS[self.kind].params
+        names = _KINDS[self.kind]
         for name in names:
             value = getattr(self, name)
             if value is not None:
@@ -104,9 +105,9 @@ class PriorModel:
 
     @cached_property
     def _kernel_args(self):
-        """(kind_code, p1, p2, sigma) for the kernels: the kind's parameters
-        in table order, padded with 0.0; a free tau left out is sigma."""
-        code, names, _ = _KINDS[self.kind]
+        """(kind, p1, p2, sigma) for the kernels: the kind's parameters in
+        table order, padded with 0.0; a free tau left out is sigma."""
+        names = _KINDS[self.kind]
         p1, p2 = ([getattr(self, n) for n in names] + [0.0, 0.0])[:2]
         if p1 is None:  # gaussian's tau, tied to sigma
             p1 = self.sigma
@@ -115,7 +116,10 @@ class PriorModel:
         if self.kind == "bp" and p2 <= 2.0 * math.ulp(p1 + 1.5):
             raise DomainError("bp prior: b=%r is below the double precision "
                               "resolution of a=%r" % (p2, p1))
-        return code, p1, p2, self.sigma
+        if self.kind == "laplace" and p1 > KAPPA_MAX:
+            raise DomainError("laplace prior: kappa=%r is above %r, where the "
+                              "posterior mean loses digits" % (p1, KAPPA_MAX))
+        return self.kind, p1, p2, self.sigma
 
     def _shift(self, y):
         if not math.isfinite(y):
@@ -132,16 +136,16 @@ class PriorModel:
         return self.kind != "flat+atom"
 
     def log_marginal(self, y):
-        code, p1, p2, s = self._kernel_args
-        return _core.log_marginal(code, p1, p2, s, self._shift(y))
+        kind, p1, p2, s = self._kernel_args
+        return _core.log_marginal(kind, p1, p2, s, self._shift(y))
 
     def dlog_marginal(self, y):
-        code, p1, p2, s = self._kernel_args
-        return _core.dlog_marginal(code, p1, p2, s, self._shift(y))
+        kind, p1, p2, s = self._kernel_args
+        return _core.dlog_marginal(kind, p1, p2, s, self._shift(y))
 
     def posterior_mean(self, y):
-        code, p1, p2, s = self._kernel_args
-        return self.loc + _core.posterior_mean(code, p1, p2, s, self._shift(y))
+        kind, p1, p2, s = self._kernel_args
+        return self.loc + _core.posterior_mean(kind, p1, p2, s, self._shift(y))
 
     def tail_profile(self):
         """TailProfile of the marginal, or None for the Gaussian prior
@@ -153,23 +157,26 @@ class PriorModel:
         if self.kind == "flat+atom":
             return TailProfile(kappa=0.0, delta=0.0, gamma=self.gamma)
         if self.kind == "laplace":
-            k = self.kappa
-            return TailProfile(kappa=k, delta=0.0,
-                               gamma=k / (2.0 * self.sigma) * math.exp(0.5 * k * k))
-        a, b = _KINDS[self.kind].shapes or (self.a, self.b)
-        log_g = (math.lgamma(a + 0.5) + a * math.log(2.0 * self.sigma ** 2)
-                 - _LOG_SQRTPI - _core.log_beta(a, b))
+            kappa, delta = self.kappa, 0.0
+            log_g = (math.log(kappa) - math.log(2.0 * self.sigma)
+                     + 0.5 * kappa * kappa)
+        else:
+            a, b = _core.SHAPES.get(self.kind) or (self.a, self.b)
+            kappa, delta = 0.0, 2.0 * a + 1.0
+            log_g = (math.lgamma(a + 0.5) + a * math.log(2.0 * self.sigma ** 2)
+                     - _LOG_SQRTPI - _core.log_beta(a, b))
         try:
             g = math.exp(log_g)
         except OverflowError:
-            # large a; the region search and the limits read only kappa
+            # large a or kappa; the region search and the limits read only
+            # kappa
             g = math.inf
-        return TailProfile(kappa=0.0, delta=2.0 * a + 1.0, gamma=g)
+        return TailProfile(kappa=kappa, delta=delta, gamma=g)
 
     def spec_string(self):
         """Canonical plain-text spec, parseable by parse_prior."""
         parts = ["%s=%.17g" % (n, getattr(self, n)) for n in
-                 _KINDS[self.kind].params if getattr(self, n) is not None]
+                 _KINDS[self.kind] if getattr(self, n) is not None]
         if self.loc != 0.0:
             parts.append("loc=%.17g" % self.loc)
         if parts:

@@ -60,6 +60,8 @@ def fit_regression(X, Y, Sigma=None, sigma2=None):
     if X.ndim != 2:
         raise DomainError("X must be a 2-d matrix")
     n, p = X.shape
+    if p == 0:
+        raise DomainError("X has no covariate columns")
     if Y.shape[0] != n:
         raise DomainError("Y length %d does not match X rows %d" % (Y.shape[0], n))
     if n < p:

@@ -23,6 +23,7 @@ import numpy as np
 from fabcr import _core
 from fabcr.errors import (DomainError, SpecParseError, check_alpha,
                           check_count, check_finite, check_positive)
+from fabcr.priors import parse_prior
 from fabcr.regression import all_marginal_regions, fit_regression
 
 _AR_RHO = 0.5
@@ -51,6 +52,9 @@ class ExperimentConfig:
         for v in self.log_sigma_beta_grid:
             check_finite("log_sigma_beta", v)
         check_alpha(self.alpha)
+        check_count("seed", self.seed, 0)
+        for spec in self.priors:
+            parse_prior(spec)
 
     @classmethod
     def from_file(cls, path):
@@ -133,7 +137,7 @@ def gen_design(n, p, seed):
     check_count("n", n)
     check_count("p", p)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
+        else np.random.SeedSequence(check_count("seed", seed, 0))
     rng = np.random.Generator(np.random.Philox(ss))
     eps = _normals(rng, (n, p))
     X = np.empty((n, p))

@@ -34,6 +34,29 @@ def test_region_flat_json(runner):
     assert d["multiple_components"] is False
 
 
+@pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+@pytest.mark.parametrize("args", [
+    ["region", "--prior", "flat", "--y", "1"],
+    ["limits", "--prior", "laplace:kappa=1"],
+    ["nef", "--family", "binom:n=8,a=1,b=1", "--y", "4"],
+    ["nef", "--family", "poisson:a=1,p=0.5", "--y", "3"],
+])
+def test_alpha_below_the_floor(runner, args, alpha):
+    res = runner.invoke(main, args + ["--alpha", alpha])
+    assert res.exit_code == 2, res.output
+    assert "alpha must be in [1e-300, 1)" in res.output
+
+
+def test_region_laplace_kappa_bound(runner):
+    args = ["region", "--y", "1", "--alpha", "0.1", "--prior"]
+    res = runner.invoke(main, args + ["laplace:kappa=30"])
+    assert res.exit_code == 0, res.output
+    for kappa in ("30.000001", "40", "1e155"):
+        res = runner.invoke(main, args + ["laplace:kappa=" + kappa])
+        assert res.exit_code == 2, res.output
+        assert "kappa=%r is above 30.0" % float(kappa) in res.output
+
+
 def test_region_horseshoe_far_reverts(runner):
     res = runner.invoke(main, ["region", "--prior", "horseshoe",
                                "--y", "100", "--alpha", "0.1"])
@@ -432,6 +455,15 @@ def test_regress_malformed_csv(runner, tmp_path, text, message):
     assert message in res.output
 
 
+def test_regress_without_covariates(runner, tmp_path):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n1\n2\n3\n")
+    res = runner.invoke(main, ["regress", "--data", str(data), "--response",
+                               "y", "--prior", "horseshoe", "--alpha", "0.1"])
+    assert res.exit_code == 2, res.output
+    assert "no covariate columns" in res.output
+
+
 # -- simulate ---------------------------------------------------------------
 
 
@@ -457,6 +489,16 @@ def test_simulate_refuses_bad_threads(runner, tmp_path):
                                    "--threads", threads])
         assert res.exit_code == 2, res.output
         assert "threads must be an integer >= 1" in res.output
+
+
+def test_simulate_refuses_a_negative_seed(runner, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "n = 5\np = 2\nsigma_y2 = 1\nlog_sigma_beta = 0\n"
+        "priors = flat\nalpha = 0.1\nreps = 1\nseed = -1\n")
+    res = runner.invoke(main, ["simulate", "--config", str(cfg)])
+    assert res.exit_code == 2, res.output
+    assert "seed must be an integer >= 0" in res.output
 
 
 def test_simulate_bad_config(runner, tmp_path):

@@ -16,8 +16,8 @@ from fabcr import _core
 from fabcr._core import _kernels_py
 from fabcr.errors import DomainError, NumericalError
 from fabcr.gaussian import (_ENDPOINT_TOL, AcceptanceInterval,
-                            ConfidenceRegion, _bisect, _march, _runs,
-                            _np_interval, _solve, acceptance_interval,
+                            ConfidenceRegion, _bisect, _march, _p_value,
+                            _runs, _np_interval, _solve, acceptance_interval,
                             confidence_region, focal_point, p_value_curve,
                             weight, z_interval)
 from fabcr.priors import PriorModel, parse_prior
@@ -361,6 +361,57 @@ def test_scan_mode_agrees_with_bracketing():
         scan = confidence_region(m, 4.0, 0.1, scan_step=0.02)
         assert abs(scan.lo - reg.lo) < 0.05
         assert abs(scan.hi - reg.hi) < 0.05
+
+
+def _assert_certified(m, y, alpha, lo, hi):
+    """Each end e of [lo, hi] is where p crosses alpha: p(e - d) < alpha <=
+    p(e + d) at the left end and the mirror image at the right, with d the
+    endpoint tolerance."""
+    d = _ENDPOINT_TOL
+    assert _p_value(m, lo - d, y) < alpha <= _p_value(m, lo + d, y), (lo, y)
+    assert _p_value(m, hi + d, y) < alpha <= _p_value(m, hi - d, y), (hi, y)
+
+
+def test_small_alpha_regions_end_where_p_crosses_alpha():
+    # the cutoff fallback decides membership by p >= alpha itself: an
+    # absolute slack of 1e-12 made every theta0 a member at alpha = 1e-12
+    # and moved the ends outward from alpha of about 1e-6 down
+    for spec in ("gaussian", "laplace:kappa=1", "laplace:kappa=4",
+                 "horseshoe", "flat+atom:gamma=1"):
+        m = parse_prior(spec)
+        for alpha in (1e-12, 1e-15, 1e-20, 1e-50, 1e-100):
+            reg = confidence_region(m, 2.0, alpha)
+            _assert_certified(m, 2.0, alpha, reg.lo, reg.hi)
+
+
+def test_small_alpha_region_of_a_free_tau_ends_where_p_crosses_alpha():
+    m = parse_prior("gaussian:tau=0.3,loc=50")
+    reg = confidence_region(m, 60.0, 1e-7)
+    _assert_certified(m, 60.0, 1e-7, reg.lo, reg.hi)
+
+
+def test_scan_mode_finds_both_components_of_a_two_piece_region():
+    # a counterexample to "Gaussian regions are intervals": with a tiny
+    # atom the upper acceptance bound falls as theta0 rises near 5.46, so
+    # p >= alpha on two runs of theta0; the default mode returns the one
+    # that holds the focal point and scan mode returns both
+    m = parse_prior("flat+atom:gamma=1e-8")
+    y, alpha, step = 8.167965163297522, 0.5, 1e-3
+    assert acceptance_interval(m, 5.47, alpha).hi \
+        < acceptance_interval(m, 5.45, alpha).hi - 0.01
+    grid = [3.0 + step * i for i in range(6001)]
+    runs = _runs([p >= alpha for p in p_value_curve(m, y, grid).pvals])
+    assert len(runs) == 2
+    scan = confidence_region(m, y, alpha, scan_step=step)
+    assert scan.multiple_components and len(scan.intervals) == 2
+    for (i, j), (lo, hi) in zip(runs, scan.intervals):
+        assert grid[i - 1] < lo <= grid[i] + _ENDPOINT_TOL, (lo, grid[i])
+        assert grid[j] - _ENDPOINT_TOL <= hi < grid[j + 1], (hi, grid[j])
+    reg = confidence_region(m, y, alpha)
+    assert reg.intervals == ((reg.lo, reg.hi),)
+    assert abs(reg.lo - scan.intervals[1][0]) < 1e-7
+    assert abs(reg.hi - scan.intervals[1][1]) < 1e-7
+    assert scan.intervals[1][0] <= reg.focal <= scan.intervals[1][1]
 
 
 def _runs_by_loop(flags):

@@ -1,7 +1,7 @@
 """Every public entry point refuses an input outside its domain with
 DomainError or SpecParseError before it computes: nan, +-inf and an int past
-the float range wherever a real number is taken, and also 0 and -1 wherever
-a positive one is.
+the float range wherever a real number is taken, 0 and -1 wherever a
+positive one is, and an alpha below its 1e-300 floor.
 
 The kernels and numpy's QR are replaced by a tripwire for these tests, so an
 input that reaches any computation fails the test rather than the kernel.
@@ -27,6 +27,9 @@ MULTINOM3 = nef.NefModel(family="multinom", n=3, a=(1.0,) * 3)
 MULTINOM4 = nef.NefModel(family="multinom", n=4, a=(1.0,) * 4)
 SIM = dict(n=30, p=3, sigma_y2=1.0, log_sigma_beta_grid=(0.0,),
            priors=("flat",), alpha=0.1, reps=2, seed=1)
+REGRESSION = regression.RegressionProblem(
+    X=np.eye(2), Y=np.ones(2), beta_hat=np.ones(2), Sigma_tilde=np.eye(2),
+    sigma2=1.0, sigma2_estimated=False)
 
 
 def _cases():
@@ -133,6 +136,62 @@ def _cases():
     yield ("confidence_region gaussian tau=1e-4 loc=1e9", lambda:
            gaussian.confidence_region(
                PriorModel("gaussian", tau=1e-4, loc=1e9), 1e9 + 3.0, 0.1))
+    # alphas below the 1e-300 floor, where the tail weights of the solves
+    # underflow to 0
+    for v in (1e-310, 5e-324):
+        for name, call in (
+                ("acceptance_interval", lambda v: gaussian.acceptance_interval(
+                    HS, 1.0, v)),
+                ("weight", lambda v: gaussian.weight(HS, 1.0, v)),
+                ("confidence_region", lambda v: gaussian.confidence_region(
+                    HS, 1.0, v)),
+                ("z_interval", lambda v: gaussian.z_interval(1.0, 1.0, v)),
+                ("g_alpha", lambda v: asymptotics.g_alpha(v, 0.5)),
+                ("g_alpha_inv", lambda v: asymptotics.g_alpha_inv(v, -1.0)),
+                ("c_alpha", lambda v: asymptotics.c_alpha(v, 1.0)),
+                ("limit_interval", lambda v: asymptotics.limit_interval(
+                    PriorModel("laplace", kappa=1.0), v)),
+                ("acceptance_set binom", lambda v: nef.acceptance_set(
+                    BINOM, 0.0, v)),
+                ("acceptance_set poisson", lambda v: nef.acceptance_set(
+                    POISSON, 0.0, v)),
+                ("acceptance_set multinom", lambda v: nef.acceptance_set(
+                    MULTINOM3, (0.0, 0.0), v)),
+                ("confidence_region_nef", lambda v: nef.confidence_region_nef(
+                    BINOM, 4, v)),
+                ("theta_grid poisson", lambda v: nef.theta_grid(POISSON, 3, v)),
+                ("all_marginal_regions",
+                 lambda v: regression.all_marginal_regions(
+                     REGRESSION, "horseshoe", v)),
+                ("ExperimentConfig", lambda v: simulate.ExperimentConfig(
+                    **dict(SIM, alpha=v)))):
+            yield "%s alpha=%r" % (name, v), lambda v=v, call=call: call(v)
+    # a regression without covariates, seeds below 0 or not integers, and
+    # simulation priors that do not parse or lack a parameter
+    yield ("fit_regression p=0", lambda: regression.fit_regression(
+        np.zeros((3, 0)), np.zeros(3), sigma2=1.0))
+    for v in (-1, 2.5, math.nan, "1"):
+        yield ("ExperimentConfig seed=%r" % (v,),
+               lambda v=v: simulate.ExperimentConfig(**dict(SIM, seed=v)))
+        yield "gen_design seed=%r" % (v,), lambda v=v: simulate.gen_design(
+            3, 2, v)
+    for priors in (("flat", "nope"), ("bp:a=1",), ("laplace:kappa=x",)):
+        yield ("ExperimentConfig priors=%r" % (priors,),
+               lambda priors=priors: simulate.ExperimentConfig(
+                   **dict(SIM, priors=priors)))
+    # Laplace kappa past the bound where its posterior mean loses digits
+    for v in (30.000000000000004, 40.0, 1e155):
+        m = PriorModel("laplace", kappa=v)
+        for name, call in (("log_marginal", lambda m: m.log_marginal(1.0)),
+                           ("posterior_mean", lambda m: m.posterior_mean(1.0)),
+                           ("confidence_region",
+                            lambda m: gaussian.confidence_region(m, 1.0, 0.1)),
+                           ("acceptance_interval",
+                            lambda m: gaussian.acceptance_interval(m, 1.0, 0.1)),
+                           ("p_value_curve",
+                            lambda m: gaussian.p_value_curve(m, 1.0, [0.0]))):
+            yield ("%s laplace kappa=%r" % (name, v),
+                   lambda m=m, call=call: call(m))
     # grids past the 10^6-point cap
     yield ("theta_grid binom grid=1e-9",
            lambda: nef.theta_grid(BINOM, 4, 0.1, 1e-9))

@@ -4,6 +4,7 @@ Frozen reference values were computed with mpmath at 30+ digits.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import mpmath as mp
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from conftest import BP_SPECIAL, CATALOG_SPECS, quad_log_marginal
 from fabcr.asymptotics import limit_interval
-from fabcr.errors import DomainError, SpecParseError
+from fabcr.errors import (DomainError, SpecParseError,
+                          UnsupportedModelError)
 from fabcr.gaussian import confidence_region
 from fabcr.priors import PriorModel, parse_prior
 
@@ -113,17 +115,17 @@ def test_bp_shapes_double_precision_cannot_resolve():
 
 
 def test_kernel_args_from_the_kind_table():
-    # (kind code, p1, p2, sigma) as the kernels take them, at sigma = 2
+    # (kind, p1, p2, sigma) as the kernels take them, at sigma = 2
     want = {
-        "flat": (0, 0.0, 0.0, 2.0),
-        "flat+atom:gamma=0.5,loc=4": (4, 0.5, 0.0, 2.0),
-        "gaussian": (1, 2.0, 0.0, 2.0),
-        "gaussian:tau=3": (1, 3.0, 0.0, 2.0),
-        "bp:a=1.5,b=2": (2, 1.5, 2.0, 2.0),
-        "horseshoe": (5, 0.0, 0.0, 2.0),
-        "gpd": (6, 0.0, 0.0, 2.0),
-        "bessel": (7, 0.0, 0.0, 2.0),
-        "laplace:kappa=1": (3, 1.0, 0.0, 2.0),
+        "flat": ("flat", 0.0, 0.0, 2.0),
+        "flat+atom:gamma=0.5,loc=4": ("flat+atom", 0.5, 0.0, 2.0),
+        "gaussian": ("gaussian", 2.0, 0.0, 2.0),
+        "gaussian:tau=3": ("gaussian", 3.0, 0.0, 2.0),
+        "bp:a=1.5,b=2": ("bp", 1.5, 2.0, 2.0),
+        "horseshoe": ("horseshoe", 0.0, 0.0, 2.0),
+        "gpd": ("gpd", 0.0, 0.0, 2.0),
+        "bessel": ("bessel", 0.0, 0.0, 2.0),
+        "laplace:kappa=1": ("laplace", 1.0, 0.0, 2.0),
     }
     for spec, args in want.items():
         assert parse_prior(spec, sigma=2.0)._kernel_args == args, spec
@@ -265,6 +267,49 @@ def test_laplace_posterior_mean_shrinks_by_kappa():
     assert abs(m.posterior_mean(-100.0) + 99.0) < 1e-6
     # no overflow very far out
     assert abs(m.posterior_mean(1e6) - (1e6 - 1.0)) < 1e-3
+
+
+def _laplace_posterior_mean(kappa, y):
+    """60-digit posterior mean under a Laplace prior at sigma = 1:
+    y + kappa (B - A) / (A + B), A = e^(-kappa y) Phi(y - kappa) and
+    B = e^(kappa y) Phi(-y - kappa)."""
+    with mp.workdps(60):
+        k, t = mp.mpf(kappa), mp.mpf(y)
+        a = mp.exp(-k * t) * mp.ncdf(t - k)
+        b = mp.exp(k * t) * mp.ncdf(-t - k)
+        return float(t + k * (b - a) / (a + b))
+
+
+def test_laplace_kappa_bound():
+    # up to kappa = 30 the posterior mean holds to 1e-9 relative; past it
+    # every kernel use is refused
+    for kappa in (10.0, 30.0):
+        m = parse_prior("laplace:kappa=%r" % kappa)
+        for y in (0.25, 0.5, 1.0, 2.25, 5.0, 10.0, kappa, 2.0 * kappa, -3.0):
+            want = _laplace_posterior_mean(kappa, y)
+            assert abs(m.posterior_mean(y) - want) <= 1e-9 * abs(want), \
+                (kappa, y, want)
+        reg = confidence_region(m, 1.0, 0.1)
+        assert reg.lo < reg.focal < reg.hi
+    for kappa in (30.000000000000004, 37.8, 40.0, 1e155):
+        m = parse_prior("laplace:kappa=%r" % kappa)
+        for use in (m.log_marginal, m.dlog_marginal, m.posterior_mean):
+            with pytest.raises(DomainError, match=re.escape(
+                    "kappa=%r is above 30.0" % kappa)):
+                use(1.0)
+        with pytest.raises(DomainError, match="above 30"):
+            confidence_region(m, 1.0, 0.1)
+        # the tail constant kappa / (2 sigma) e^(kappa^2 / 2) is formed in
+        # logs, infinite past the float range, and the limits need only
+        # kappa
+        gamma = m.tail_profile().gamma
+        if kappa > 37.7:
+            assert gamma == math.inf
+        else:
+            want = kappa / 2.0 * math.exp(kappa ** 2 / 2.0)
+            assert abs(gamma - want) <= 1e-12 * want
+        with pytest.raises(UnsupportedModelError):
+            limit_interval(m, 0.1)
 
 
 def test_location_shift():
