@@ -1,11 +1,23 @@
 """Time the numerical kernels of ``fabcr._core``.
 
 Usage: python benchmarks/bench_kernels.py
+
+Without an installed ``fabcr`` it imports the package from the checkout's
+``src/``.
 """
 
+import os
+import sys
 import time
 
-from fabcr import _core
+try:
+    from fabcr import _core
+except ModuleNotFoundError as exc:
+    if exc.name != "fabcr":
+        raise
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src"))
+    from fabcr import _core
 
 
 def bench(label, fn, args, n):

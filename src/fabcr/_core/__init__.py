@@ -6,19 +6,12 @@ these re-exported names (the benchmark's tracer wraps only the latter).
 
 from ._kernels_py import (
     SHAPES,
-    W_CUTOFF,
-    bessel_i0e,
-    bessel_i1e,
-    dawson,
     digamma,
     dlog_marginal,
     log_beta,
     log_gamma,
-    log_kummer_1f1_neg,
     log_marginal,
     norm_cdf,
-    norm_log_cdf,
-    norm_pdf,
     norm_quantile,
     posterior_mean,
     weight_solve,

@@ -418,15 +418,9 @@ def posterior_mean(kind, p1, p2, sigma, y):
 
 _W_LO = 1e-15
 _W_HI = 1.0 - 1e-15
-# weights within W_CUTOFF of 0 or 1 are resolved too coarsely for their
-# bounds; callers take the cutoff formulation there instead
+# w is solved to about 1e-13, too coarse for its bounds within W_CUTOFF of
+# 0 or 1; weight_solve returns None there, for the cutoff formulation
 W_CUTOFF = 1e-8
-
-
-def _lam(kind, p1, p2, sigma, theta0, y):
-    # log-likelihood ratio up to additive constants in theta0
-    d = y - theta0
-    return log_marginal(kind, p1, p2, sigma, y) + d * d / (2.0 * sigma * sigma)
 
 
 def _quantiles(alpha, w):
@@ -449,10 +443,12 @@ def _bounds(theta0, sigma, q):
 def weight_solve(kind, p1, p2, sigma, theta0, alpha, y=None, y_tol=0.0):
     """Solve for the weight w in (0,1) equalising the log-likelihood ratio at
     the two acceptance bounds lo = theta0 + sigma Phi^-1(alpha w) and hi =
-    theta0 - sigma Phi^-1(alpha (1 - w)). Returns (w, lo, hi).
+    theta0 - sigma Phi^-1(alpha (1 - w)). Returns (w, lo, hi), or None where
+    w ends within W_CUTOFF of 0 or 1.
 
-    G(w) = lam(lo(w)) - lam(hi(w)) is strictly decreasing (lam is strictly
-    convex), so a bracketing bisection with secant acceleration converges.
+    G(w) = lam(lo(w)) - lam(hi(w)), with lam(t) = l(t) + (t - theta0)^2 /
+    (2 sigma^2), is strictly decreasing (lam is strictly convex), so a
+    bracketing bisection with secant acceleration converges.
 
     Given y, the solve stops once its bracket [wa, wb] lies inside
     (W_CUTOFF, 1 - W_CUTOFF) and settles by more than y_tol whether lo <= y
@@ -460,28 +456,31 @@ def weight_solve(kind, p1, p2, sigma, theta0, alpha, y=None, y_tol=0.0):
     lie between those at wa and wb. It then returns the bracket end whose
     bounds give the same answer.
     """
-    q_a, q_b = _end_quantiles(alpha)
-    wa, wb = _W_LO, _W_HI
-    lo_a, hi_a = _bounds(theta0, sigma, q_a)
-    ga = (_lam(kind, p1, p2, sigma, theta0, lo_a)
-          - _lam(kind, p1, p2, sigma, theta0, hi_a))
-    if ga <= 0.0:
-        return wa, lo_a, hi_a
-    lo_b, hi_b = _bounds(theta0, sigma, q_b)
-    gb = (_lam(kind, p1, p2, sigma, theta0, lo_b)
-          - _lam(kind, p1, p2, sigma, theta0, hi_b))
-    if gb >= 0.0:
-        return wb, lo_b, hi_b
+    s2 = 2.0 * sigma * sigma
 
+    def at(q):
+        # (lo, hi, G) at the quantile pair q = _quantiles(alpha, w)
+        lo, hi = _bounds(theta0, sigma, q)
+        dlo, dhi = lo - theta0, hi - theta0
+        g = (log_marginal(kind, p1, p2, sigma, lo) + dlo * dlo / s2
+             - (log_marginal(kind, p1, p2, sigma, hi) + dhi * dhi / s2))
+        return lo, hi, g
+
+    q_a, q_b = _end_quantiles(alpha)
+    lo_a, hi_a, g = at(q_a)
+    if g <= 0.0:
+        return None
+    lo_b, hi_b, g = at(q_b)
+    if g >= 0.0:
+        return None
+    wa, wb = _W_LO, _W_HI
     w = 0.5
     g_prev = None
     w_prev = None
     for _ in range(200):
-        lo, hi = _bounds(theta0, sigma, _quantiles(alpha, w))
-        g = (_lam(kind, p1, p2, sigma, theta0, lo)
-             - _lam(kind, p1, p2, sigma, theta0, hi))
+        lo, hi, g = at(_quantiles(alpha, w))
         if g == 0.0:
-            return w, lo, hi
+            return (w, lo, hi) if W_CUTOFF < w < 1.0 - W_CUTOFF else None
         if g > 0.0:
             wa, lo_a, hi_a = w, lo, hi
         else:
@@ -502,4 +501,6 @@ def weight_solve(kind, p1, p2, sigma, theta0, alpha, y=None, y_tol=0.0):
             w_next = 0.5 * (wa + wb)
         w = w_next
     w = 0.5 * (wa + wb)
+    if not W_CUTOFF < w < 1.0 - W_CUTOFF:
+        return None
     return (w,) + _bounds(theta0, sigma, _quantiles(alpha, w))

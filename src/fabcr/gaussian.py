@@ -176,23 +176,17 @@ def _runs(flags):
 
 def _solve(model: PriorModel, theta0, alpha, y=None):
     """Kernel weight solve in prior-centred coordinates; returns (w, lo, hi)
-    back in the original parameterization, or None where w is within
-    W_CUTOFF of 0 or 1. Given y, the solve may stop once its bracket settles
-    whether lo <= y <= hi, and then returns bounds that give the same answer
-    as the solved ones; its margin covers the rounding of the shift by loc
-    and the last-ulp wobble of the quantiles."""
+    back in the original parameterization, or None where the kernel leaves
+    the weight to the cutoff formulation. Given y, the solve may stop once
+    its bracket settles whether lo <= y <= hi, and then returns bounds that
+    give the same answer as the solved ones; its margin covers the rounding
+    of the shift by loc and the last-ulp wobble of the quantiles."""
     kind, p1, p2, s = model._kernel_args
     loc = model.loc
     settle = () if y is None else (y - loc, 1e-10 * s + 4.0 * math.ulp(
         abs(y) + abs(loc) + abs(theta0) + s))
-    w, lo, hi = _core.weight_solve(kind, p1, p2, s, theta0 - loc, alpha,
-                                   *settle)
-    if w <= _core.W_CUTOFF or w >= 1.0 - _core.W_CUTOFF:
-        # the solver resolves w only to ~1e-13 absolute, so this close to the
-        # boundary the implied interval endpoint gets noisy; the cutoff
-        # formulation stays well-conditioned there
-        return None
-    return w, lo + loc, hi + loc
+    solved = _core.weight_solve(kind, p1, p2, s, theta0 - loc, alpha, *settle)
+    return solved and (solved[0], solved[1] + loc, solved[2] + loc)
 
 
 # -- cutoff (Neyman-Pearson) formulation, used when w degenerates ----------
@@ -429,9 +423,11 @@ def p_value_curve(model: PriorModel, y, grid):
 
 
 def z_interval(y, sigma, alpha):
-    """Classical equal-tailed interval y +- sigma * Phi^-1(1 - alpha/2)."""
+    """Classical equal-tailed interval y +- sigma * Phi^-1(1 - alpha/2),
+    taken as -Phi^-1(alpha/2): the lower tail keeps every digit, and 1 -
+    alpha/2 rounds to 1 for alpha below about 1.1e-16."""
     alpha = check_alpha(alpha)
     y = check_finite("y", y)
     sigma = check_positive("sigma", sigma)
-    half = sigma * _core.norm_quantile(1.0 - 0.5 * alpha)
+    half = -sigma * _core.norm_quantile(0.5 * alpha)
     return (y - half, y + half)

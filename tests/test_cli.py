@@ -47,6 +47,17 @@ def test_alpha_below_the_floor(runner, args, alpha):
     assert "alpha must be in [1e-300, 1)" in res.output
 
 
+@pytest.mark.parametrize("alpha", ["1e-20", "1e-300"])
+def test_region_at_tiny_alpha(runner, alpha):
+    # the z-interval went through Phi^-1(1 - alpha / 2), which failed once
+    # 1 - alpha / 2 rounded to 1
+    res = runner.invoke(main, ["region", "--prior", "flat", "--y", "1",
+                               "--alpha", alpha])
+    assert res.exit_code == 0, res.output
+    z_lo, z_hi = json.loads(res.output)["z_interval"]
+    assert math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < 1.0 < z_hi
+
+
 def test_region_laplace_kappa_bound(runner):
     args = ["region", "--y", "1", "--alpha", "0.1", "--prior"]
     res = runner.invoke(main, args + ["laplace:kappa=30"])
@@ -453,6 +464,19 @@ def test_regress_malformed_csv(runner, tmp_path, text, message):
                                "--sigma2", "1"])
     assert res.exit_code == 2, res.output
     assert message in res.output
+
+
+@pytest.mark.parametrize("alpha", ["1e-20", "1e-300"])
+def test_regress_at_tiny_alpha(runner, tmp_path, alpha):
+    data = _write_regression_csv(tmp_path / "d.csv")
+    res = runner.invoke(main, ["regress", "--data", data, "--response", "y",
+                               "--prior", "horseshoe", "--alpha", alpha,
+                               "--sigma2", "1"])
+    assert res.exit_code == 0, res.output
+    for line in res.output.strip().splitlines()[1:]:
+        mle, _, _, _, z_lo, z_hi = (float(v) for v in line.split(",")[1:7])
+        assert math.isfinite(z_lo) and math.isfinite(z_hi), line
+        assert z_lo < mle < z_hi, line
 
 
 def test_regress_without_covariates(runner, tmp_path):

@@ -101,6 +101,42 @@ def test_weight_degenerate_regime_generic_prior(kappa):
                 (theta0, alpha, lam_lo, lam_hi)
 
 
+@pytest.mark.parametrize("spec, sigma, alphas", [
+    ("laplace:kappa=3", 0.7, (0.01, 0.1)),
+    ("laplace:kappa=4", 0.7, (0.01, 0.1)),
+    ("gaussian:tau=1", 1.0, (0.1,)),
+])
+def test_weight_solve_returns_none_exactly_at_a_degenerate_weight(
+        spec, sigma, alphas):
+    # the kernel itself leaves a weight within W_CUTOFF of 0 or 1 to the
+    # cutoff formulation, whose weight Phi(lo) / alpha tells which side of
+    # the cutoff the true one lies on
+    cutoff = _kernels_py.W_CUTOFF
+    m = parse_prior(spec, sigma=sigma)
+    seen = set()
+    for theta0 in (-80.0, -30.0, -2.0, 0.0, 1.0, 3.0, 12.0, 12.5, 50.0,
+                   500.0):
+        for alpha in alphas:
+            w_cut = _np_interval(m, theta0, alpha)[0]
+            edge = min(w_cut, 1.0 - w_cut)
+            if cutoff / 2.0 <= edge <= 2.0 * cutoff:
+                continue
+            args = m._kernel_args + (theta0 - m.loc, alpha)
+            solved = _core.weight_solve(*args)
+            seen.add(solved is None)
+            if edge < cutoff:
+                assert solved is None, (theta0, alpha, solved)
+            else:
+                w = solved[0]
+                assert cutoff < w < 1.0 - cutoff and abs(w - w_cut) < 1e-9, \
+                    (theta0, alpha, w, w_cut)
+            # the early exit never hands over a degenerate weight
+            assert (_core.weight_solve(*args, theta0, 0.0) is None) \
+                == (solved is None), (theta0, alpha)
+            assert (_solve(m, theta0, alpha) is None) == (solved is None)
+    assert seen == {True, False}
+
+
 @pytest.mark.parametrize("spec", ["horseshoe", "laplace:kappa=1",
                                   "bp:a=1,b=0.5", "flat+atom:gamma=0.1"])
 def test_cutoff_formulation_matches_weight_solve(spec):
@@ -664,6 +700,20 @@ def test_z_interval():
     assert abs(hi - (2.0 + Z95)) < 1e-12
     lo, hi = z_interval(0.0, 3.0, 0.1)
     assert abs(hi - 3.0 * Z90) < 1e-12
+
+
+# -Phi^-1(alpha / 2), from erfc(z / sqrt(2)) = alpha in 40-digit mpmath
+_Z_HALF = {0.1: 1.644853626951472688, 1e-6: 4.8916384756985903951,
+           1e-10: 6.4669510872405161663, 1e-14: 7.7392563195043732576,
+           1e-20: 9.3360448492340600412, 1e-300: 37.065787880772130393}
+
+
+def test_z_interval_through_the_lower_tail():
+    # Phi^-1(1 - alpha / 2) lost digits as 1 - alpha / 2 neared 1 (1.3e-5
+    # relative at alpha = 1e-14) and raised once it rounded to 1
+    for alpha, z in _Z_HALF.items():
+        lo, hi = z_interval(0.0, 1.0, alpha)
+        assert lo == -hi and abs(hi - z) <= 2.5e-16 * z, (alpha, hi, z)
 
 
 # -- bracket search ---------------------------------------------------------

@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fabcr import _core
+from fabcr._core._kernels_py import (bessel_i0e, bessel_i1e, dawson,
+                                     log_kummer_1f1_neg, norm_log_cdf,
+                                     norm_pdf)
 
 # -- normal CDF / quantile --------------------------------------------------
 
@@ -32,15 +35,15 @@ def test_cdf_symmetry(z):
 
 
 def test_pdf_values():
-    assert abs(_core.norm_pdf(0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-16
-    assert abs(_core.norm_pdf(2.0)
+    assert abs(norm_pdf(0.0) - 1.0 / math.sqrt(2 * math.pi)) < 1e-16
+    assert abs(norm_pdf(2.0)
                - math.exp(-2.0) / math.sqrt(2 * math.pi)) < 1e-16
 
 
 def test_log_cdf_deep_tail():
     # log Phi(-40) = -804.608442013754417 (Mills-series regime)
-    assert abs(_core.norm_log_cdf(-40.0) + 804.60844201375441696) < 1e-10
-    assert abs(_core.norm_log_cdf(1.3)
+    assert abs(norm_log_cdf(-40.0) + 804.60844201375441696) < 1e-10
+    assert abs(norm_log_cdf(1.3)
                - math.log(_core.norm_cdf(1.3))) < 1e-14
 
 
@@ -110,15 +113,15 @@ _LOG_KUMMER_NEG = {
 
 
 def test_kummer_trivia():
-    assert _core.log_kummer_1f1_neg(0.7, 1.3, 0.0) == 0.0
+    assert log_kummer_1f1_neg(0.7, 1.3, 0.0) == 0.0
     # 1F1(1, 2, -x) = (1 - e^{-x}) / x
-    assert abs(_core.log_kummer_1f1_neg(1.0, 2.0, -1.0)
+    assert abs(log_kummer_1f1_neg(1.0, 2.0, -1.0)
                - math.log(-math.expm1(-1.0))) < 1e-14
 
 
 def test_kummer_frozen_value():
     # 1F1(1/2, 3/2, -1) = sqrt(pi)/2 * erf(1)
-    assert abs(math.exp(_core.log_kummer_1f1_neg(0.5, 1.5, -1.0))
+    assert abs(math.exp(log_kummer_1f1_neg(0.5, 1.5, -1.0))
                - 0.74682413281242702540) < 1e-14
 
 
@@ -126,7 +129,7 @@ def test_kummer_frozen_value():
 @pytest.mark.parametrize("b_extra", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("x", [1.0, 10.0, 100.0, 700.0])
 def test_kummer_transformation(a, b_extra, x):
-    got = _core.log_kummer_1f1_neg(a, a + b_extra, -x)
+    got = log_kummer_1f1_neg(a, a + b_extra, -x)
     want = _LOG_KUMMER_NEG[a, b_extra, x]
     assert abs(math.exp(got - want) - 1.0) <= 1e-10
 
@@ -144,7 +147,7 @@ _LARGE_B_PAIRS = tuple((f * b, b) for b in (2.0, 15.0, 45.0, 100.6, 400.0)
 @pytest.mark.parametrize("a, b", _LARGE_B_PAIRS)
 def test_kummer_large_b_matches_mpmath(a, b):
     for x in (45.0 + 1e-9, 45.5, 60.0, 165.0, 700.0, 2000.0):
-        got = _core.log_kummer_1f1_neg(a, b, -x)
+        got = log_kummer_1f1_neg(a, b, -x)
         with mp.workdps(30):
             want = mp.log(mp.hyp1f1(a, b, -x))
             err = abs(float(mp.expm1(got - want)))
@@ -155,15 +158,15 @@ def test_kummer_large_b_matches_mpmath(a, b):
 
 
 def test_dawson_values():
-    assert _core.dawson(0.0) == 0.0
-    assert abs(_core.dawson(1.0) - 0.53807950691276841914) < 1e-14
+    assert dawson(0.0) == 0.0
+    assert abs(dawson(1.0) - 0.53807950691276841914) < 1e-14
     # asymptotic regime: D(z) ~ 1/(2z) + 1/(4z^3)
-    assert abs(_core.dawson(50.0) - 0.010002001201201683031) < 1e-14
+    assert abs(dawson(50.0) - 0.010002001201201683031) < 1e-14
 
 
 @given(st.floats(min_value=-20.0, max_value=20.0))
 def test_dawson_odd(z):
-    assert _core.dawson(-z) == -_core.dawson(z)
+    assert dawson(-z) == -dawson(z)
 
 
 def test_dawson_ode_residual():
@@ -171,8 +174,8 @@ def test_dawson_ode_residual():
     h = 1e-5
     for i in range(50):
         z = -6.0 + 12.0 * i / 49.0
-        deriv = (_core.dawson(z + h) - _core.dawson(z - h)) / (2 * h)
-        resid = deriv - (1.0 - 2.0 * z * _core.dawson(z))
+        deriv = (dawson(z + h) - dawson(z - h)) / (2 * h)
+        resid = deriv - (1.0 - 2.0 * z * dawson(z))
         assert abs(resid) <= 1e-9, (z, resid)
 
 
@@ -180,12 +183,12 @@ def test_dawson_ode_residual():
 
 
 def test_bessel_values():
-    assert _core.bessel_i0e(0.0) == 1.0
-    assert _core.bessel_i1e(0.0) == 0.0
-    assert abs(math.e * _core.bessel_i0e(1.0) - 1.26606587775200833560) < 1e-13
-    assert abs(math.e * _core.bessel_i1e(1.0) - 0.56515910399248502721) < 1e-13
+    assert bessel_i0e(0.0) == 1.0
+    assert bessel_i1e(0.0) == 0.0
+    assert abs(math.e * bessel_i0e(1.0) - 1.26606587775200833560) < 1e-13
+    assert abs(math.e * bessel_i1e(1.0) - 0.56515910399248502721) < 1e-13
     # scaled difference that drives the bessel-kind marginal
-    got = _core.bessel_i0e(5.0) - _core.bessel_i1e(5.0)
+    got = bessel_i0e(5.0) - bessel_i1e(5.0)
     assert abs(got - 0.019568545664785996148) <= 1e-10 * abs(got)
 
 
@@ -197,9 +200,9 @@ _I0E = {0.1: 0.907100925782301091652, 1.0: 0.465759607593640436502,
 
 def test_bessel_scaled_consistency():
     for z, want in _I0E.items():
-        assert abs(_core.bessel_i0e(z) - want) < 1e-14
-        assert 0.0 < _core.bessel_i0e(z) <= 1.0
-        assert 0.0 <= _core.bessel_i1e(z) < _core.bessel_i0e(z) or z == 0.0
+        assert abs(bessel_i0e(z) - want) < 1e-14
+        assert 0.0 < bessel_i0e(z) <= 1.0
+        assert 0.0 <= bessel_i1e(z) < bessel_i0e(z) or z == 0.0
 
 
 def test_bessel_derivative_residual():
@@ -207,8 +210,8 @@ def test_bessel_derivative_residual():
     h = 1e-5
     for i in range(40):
         z = 0.5 + 4.5 * i / 39.0
-        deriv = (_core.bessel_i0e(z + h) - _core.bessel_i0e(z - h)) / (2 * h)
-        resid = deriv - (_core.bessel_i1e(z) - _core.bessel_i0e(z))
+        deriv = (bessel_i0e(z + h) - bessel_i0e(z - h)) / (2 * h)
+        resid = deriv - (bessel_i1e(z) - bessel_i0e(z))
         assert abs(resid) <= 1e-9, (z, resid)
 
 
